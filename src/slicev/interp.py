@@ -17,8 +17,7 @@ from .core import (
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
     AssertE, AffVar, BoolVal, Cake, Divide, EvalQ, Expr, If, IntervalVal, Lit,
     Mark, Op, PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError,
-    Split, TupleE, TupleVal, Value, Var, VltnVal, interval_list,
-    intervals_disjoint, read,
+    Split, TupleE, TupleVal, Value, Var, VltnVal, read,
 )
 from .valuation import TargetExceedsValue, ValuationSet, val_eval, val_mark
 
@@ -266,9 +265,3 @@ def _as_piece_tuple(alloc: Value, n_agents: int) -> list[PieceVal]:
         out.append(item)
     return out
 
-
-def allocation_disjoint(alloc: Value) -> bool:
-    """Pairwise disjointness of an allocation's interval list."""
-    ivs = interval_list(alloc)
-    return all(intervals_disjoint(ivs[i], ivs[j])
-               for i in range(len(ivs)) for j in range(i + 1, len(ivs)))

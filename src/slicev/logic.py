@@ -2,8 +2,9 @@
 
 A path translates to a result term and a constraint formula; envy-freeness
 of the result is an implication whose validity is checked per piecewise
-uniform replacement (a total order on the path's mark variables).  After
-simplification and replacement every atom is linear real arithmetic.
+uniform replacement (a total order on the path's mark variables).
+Translation builds reduced terms, so after replacement every atom is linear
+real arithmetic.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class ScaleT(Term):
     arg: Term
 
 
-# Boolean-sorted terms (operator images); lifted to formulas by simplify.
+# Boolean-sorted terms (operator images); lifted to formulas by `_lift`.
 @dataclass(frozen=True)
 class TAnd(Term):
     left: Term
@@ -199,6 +200,21 @@ class ImpF(Formula):
     conclusion: Formula
 
 
+def proj(index: int, t: Term) -> Term:
+    """The 1-based component of a tuple term, reduced when `t` is a tuple."""
+    return t.items[index - 1] if isinstance(t, TupleT) else ProjT(index, t)
+
+
+def left(t: Term) -> Term:
+    """Left endpoint of an interval term, reduced when `t` is an interval."""
+    return t.lo if isinstance(t, IntervalT) else LeftT(t)
+
+
+def right(t: Term) -> Term:
+    """Right endpoint of an interval term, reduced when `t` is an interval."""
+    return t.hi if isinstance(t, IntervalT) else RightT(t)
+
+
 def conj(items: Iterable[Formula]) -> Formula:
     out = []
     for f in items:
@@ -261,17 +277,16 @@ class Translated:
     constraint: Formula
     mark_ids: tuple[int, ...]
 
-    @property
-    def y_vars(self) -> tuple[int, ...]:
-        return self.mark_ids
-
 
 def translate(path_expr: Expr) -> Translated:
     """Compute the result term and constraint of an if-free path.
 
     Split bindings substitute projections of the scrutinee's term for the
     bound variables, exactly like the logical substitution in the
-    definition; an environment implements the substitution lazily.
+    definition; an environment implements the substitution lazily.  The
+    smart constructors `proj`, `left` and `right` reduce as they build and
+    guards are lifted at once, so the result and the constraint come out
+    already simplified: `simplify` leaves them unchanged.
     """
     marks: list[int] = []
 
@@ -302,13 +317,13 @@ def translate(path_expr: Expr) -> Translated:
                 inner[e.binders[0]] = ts
             else:
                 for i, name in enumerate(e.binders):
-                    inner[name] = ProjT(i + 1, ts)
+                    inner[name] = proj(i + 1, ts)
             tb, cb = go(e.body, inner)
             return tb, cs + cb
         if isinstance(e, AssertE):
             tg, cg = go(e.guard, env)
             tb, cb = go(e.body, env)
-            return tb, [TruthF(tg)] + cg + cb
+            return tb, [_lift(tg)] + cg + cb
         if isinstance(e, If):
             raise LogicError("if-expression inside a path")
         if isinstance(e, Op):
@@ -329,8 +344,8 @@ def translate(path_expr: Expr) -> Translated:
         if isinstance(e, Divide):
             t1, c1 = go(e.interval, env)
             t2, c2 = go(e.point, env)
-            pair = TupleT((IntervalT(LeftT(t1), t2), IntervalT(t2, RightT(t1))))
-            side = [GeF(t2, LeftT(t1)), GeF(RightT(t1), t2)]
+            pair = TupleT((IntervalT(left(t1), t2), IntervalT(t2, right(t1))))
+            side = [GeF(t2, left(t1)), GeF(right(t1), t2)]
             return pair, c1 + c2 + side
         if isinstance(e, PieceE):
             terms, cs = [], []
@@ -346,7 +361,7 @@ def translate(path_expr: Expr) -> Translated:
             t1, c1 = go(e.interval, env)
             t2, c2 = go(e.target, env)
             y = YVar(e.mark_id)
-            side = EqF(ValT(e.agent, IntervalT(LeftT(t1), y)), t2)
+            side = EqF(ValT(e.agent, IntervalT(left(t1), y)), t2)
             return y, c1 + c2 + [side]
         if isinstance(e, EvalQ):
             t, c = go(e.arg, env)
@@ -357,22 +372,11 @@ def translate(path_expr: Expr) -> Translated:
     return Translated(result, conj(cs), tuple(marks))
 
 
-def result_term(path_expr: Expr) -> Term:
-    return translate(path_expr).result
-
-
-def path_constraint(path_expr: Expr) -> Formula:
-    return translate(path_expr).constraint
-
-
 def envy_formula(alloc: Term, n_agents: int) -> Formula:
     """No agent values another's component above its own (all agent pairs)."""
-    atoms = []
-    for a in range(1, n_agents + 1):
-        for b in range(1, n_agents + 1):
-            atoms.append(GeF(ValT(a, ProjT(a, alloc)),
-                             ValT(a, ProjT(b, alloc))))
-    return conj(atoms)
+    parts = [proj(a, alloc) for a in range(1, n_agents + 1)]
+    return conj([GeF(ValT(a, parts[a - 1]), ValT(a, part))
+                 for a in range(1, n_agents + 1) for part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +384,13 @@ def envy_formula(alloc: Term, n_agents: int) -> Formula:
 # ---------------------------------------------------------------------------
 
 def simplify_term(t: Term) -> Term:
+    """Normal form of a hand-built term; `translate` already produces it."""
     if isinstance(t, ProjT):
-        inner = simplify_term(t.tup)
-        if isinstance(inner, TupleT):
-            return inner.items[t.index - 1]
-        return ProjT(t.index, inner)
+        return proj(t.index, simplify_term(t.tup))
     if isinstance(t, LeftT):
-        inner = simplify_term(t.interval)
-        if isinstance(inner, IntervalT):
-            return inner.lo
-        return LeftT(inner)
+        return left(simplify_term(t.interval))
     if isinstance(t, RightT):
-        inner = simplify_term(t.interval)
-        if isinstance(inner, IntervalT):
-            return inner.hi
-        return RightT(inner)
+        return right(simplify_term(t.interval))
     if isinstance(t, IntervalT):
         return IntervalT(simplify_term(t.lo), simplify_term(t.hi))
     if isinstance(t, UnionT):
@@ -539,10 +535,6 @@ class Replacement:
     @property
     def positions(self) -> dict:
         return {e: i for i, e in enumerate(self.order)}
-
-    @property
-    def nonzero(self) -> tuple:
-        return self.order[1:]
 
     def describe(self) -> str:
         names = {ZERO_KEY: "0", ONE_KEY: "1"}
@@ -706,10 +698,8 @@ class VC:
 
 def build_vc(tr: Translated, s: Replacement, n_agents: int) -> VC:
     side = order_formula(s, n_agents)
-    c_simple = simplify(tr.constraint)
-    envy_simple = simplify(envy_formula(tr.result, n_agents))
-    premise = apply_replacement(s, conj([c_simple, side]))
-    goal = apply_replacement(s, envy_simple)
+    premise = apply_replacement(s, conj([tr.constraint, side]))
+    goal = apply_replacement(s, envy_formula(tr.result, n_agents))
     return VC(ImpF(premise, goal), premise, NotF(goal), s)
 
 

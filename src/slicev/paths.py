@@ -13,7 +13,7 @@ from typing import Iterator
 from .core import (
     OP_NOT,
     AssertE, Cake, Divide, EvalQ, Expr, If, Lit, Mark, Op, PieceE, ReadVar,
-    SliceError, Split, TupleE, Var, AffVar,
+    SliceError, Split, TupleE, Var, AffVar, children,
 )
 
 
@@ -47,26 +47,6 @@ def _rebuild(e: Expr, parts: list[Expr]) -> Expr:
     raise SliceError(f"cannot rebuild {e!r}")
 
 
-def _child_list(e: Expr) -> list[Expr]:
-    if isinstance(e, TupleE):
-        return list(e.items)
-    if isinstance(e, Split):
-        return [e.scrutinee, e.body]
-    if isinstance(e, AssertE):
-        return [e.guard, e.body]
-    if isinstance(e, Op):
-        return list(e.args)
-    if isinstance(e, Divide):
-        return [e.interval, e.point]
-    if isinstance(e, PieceE):
-        return list(e.items)
-    if isinstance(e, Mark):
-        return [e.interval, e.target]
-    if isinstance(e, EvalQ):
-        return [e.arg]
-    raise SliceError(f"no children for {e!r}")
-
-
 def _stream(e: Expr) -> Iterator[Expr]:
     if _leaf(e):
         yield e
@@ -79,7 +59,7 @@ def _stream(e: Expr) -> Iterator[Expr]:
             for be in _stream(e.els):
                 yield AssertE(Op(OP_NOT, (bg,)), be)
         return
-    kids = _child_list(e)
+    kids = children(e)
 
     def product(i: int, acc: list[Expr]) -> Iterator[Expr]:
         if i == len(kids):
@@ -103,7 +83,7 @@ def count_paths(e: Expr) -> int:
     if isinstance(e, If):
         return count_paths(e.guard) * (count_paths(e.then) + count_paths(e.els))
     total = 1
-    for c in _child_list(e):
+    for c in children(e):
         total *= count_paths(c)
     return total
 
@@ -120,7 +100,7 @@ def select_path(e: Expr, decisions: dict) -> Expr:
             return AssertE(guard, select_path(e.then, decisions))
         return AssertE(Op(OP_NOT, (guard,)),
                        select_path(e.els, decisions))
-    kids = [select_path(c, decisions) for c in _child_list(e)]
+    kids = [select_path(c, decisions) for c in children(e)]
     return _rebuild(e, kids)
 
 
@@ -135,7 +115,7 @@ def path_index(e: Expr, decisions: dict) -> int:
         if decisions[e.if_id]:
             return g * nt + path_index(e.then, decisions)
         return ng * nt + g * ne + path_index(e.els, decisions)
-    kids = _child_list(e)
+    kids = children(e)
     idx = 0
     for c in kids:
         idx = idx * count_paths(c) + path_index(c, decisions)

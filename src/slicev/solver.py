@@ -26,7 +26,7 @@ from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, ImpF, NotF, OrF,
     Replacement, ScaleT, Term, TrueF, Translated, YVar, ZVar, ONE_KEY,
     ZERO_KEY, build_vc, compatible_replacements, enumerate_replacements,
-    is_linear, ordering_facts, replacement_variables, simplify, translate,
+    is_linear, ordering_facts, replacement_variables, translate,
 )
 from .paths import Path, enumerate_paths
 from .syntax import Program, parse
@@ -38,6 +38,10 @@ from .valuation import (
 
 class SolverError(SliceError):
     pass
+
+
+class SolverDied(SolverError):
+    """The solver exited or answered outside the protocol during a query."""
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,22 @@ class SolverProcess:
             if line.strip():
                 return line.strip()
 
+    def failure(self, line: str, cause: Exception) -> str:
+        """Describe a solver that died or misbehaved: its command, what went
+        wrong, the line it printed instead of an answer, and its exit code.
+        Its input is closed first, so a solver still running can exit."""
+        first = line or self._buffer.strip().split("\n")[0] or "(none)"
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            code = self.proc.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            code = "none (still running)"
+        return (f"solver {' '.join(self.command)!r} died or misbehaved "
+                f"({cause}): first output line {first!r}, exit code {code}")
+
     def read_sexpr(self) -> str:
         while True:
             depth = 0
@@ -221,24 +241,28 @@ def parse_model(text: str) -> dict[str, Fraction]:
 
 def check_query(proc: SolverProcess, query: str
                 ) -> tuple[str, Optional[dict]]:
-    """Run one query inside push/pop; returns (sat|unsat|unknown, model)."""
-    proc.send("(push 1)\n" + query)
+    """Run one query inside push/pop; returns (sat|unsat|unknown|timeout,
+    model).  A solver that exits, closes its pipes or prints anything else
+    in place of an answer raises `SolverDied`; it is restarted first."""
+    line = ""
     try:
+        proc.send("(push 1)\n" + query)
         line = proc.read_line()
-        if line.startswith("(error") or line == "":
-            raise SolverError(f"solver error: {line}")
+        if line not in ("sat", "unsat", "unknown"):
+            raise SolverError("not an answer")
+        model = None
         if line == "sat":
             proc.send("(get-model)\n")
             model = parse_model(proc.read_sexpr())
-            proc.send("(pop 1)\n")
-            return "sat", model
         proc.send("(pop 1)\n")
-        if line == "unsat":
-            return "unsat", None
-        return "unknown", None
+        return line, model
     except TimeoutError:
         proc.restart()
         return "timeout", None
+    except SolverError as exc:
+        reason = proc.failure(line, exc)
+        proc.restart()
+        raise SolverDied(reason) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +393,7 @@ def path_replacements(tr: Translated, prune: bool
         total *= i
     if not prune:
         return list(enumerate_replacements(tr.mark_ids)), 0
-    facts = ordering_facts(simplify(tr.constraint))
+    facts = ordering_facts(tr.constraint)
     kept = compatible_replacements(tr.mark_ids, facts)
     return kept, total - len(kept)
 
@@ -391,7 +415,12 @@ def _check_path(proc: SolverProcess, path: Path, n_agents: int,
         if dump is not None:
             dump(path.index, s, emit_smt(vc, n_agents, standalone=True))
         stats.queries += 1
-        verdict, model = check_query(proc, query)
+        try:
+            verdict, model = check_query(proc, query)
+        except SolverDied as exc:
+            stats.solve_seconds += time.monotonic() - t1
+            return SolverVerdictUnknown(
+                f"{exc} (order {s.describe()})", path.index)
         if verdict == "unsat":
             continue
         if verdict == "sat":

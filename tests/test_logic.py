@@ -1,11 +1,13 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from slicev.logic import (
-    AddT, Const, EqF, GeF, IntervalT, LeftT, NotF, OrF, PointAtomNotInS,
-    ProjT, RightT, ScaleT, TruthF, TupleT, UnionT, ValT, YVar, ZVar,
+    AddT, Const, EqF, Formula, GeF, IntervalT, LeftT, NotF, OrF,
+    PointAtomNotInS, ProjT, RightT, ScaleT, Term, TruthF, TupleT, UnionT,
+    ValT, YVar, ZVar,
     ZERO_KEY, ONE_KEY, apply_replacement, build_vc, compatible_replacements,
     conjuncts, enumerate_replacements, envy_formula, eval_formula, is_linear,
     order_formula, ordering_facts, point_atoms,
@@ -16,7 +18,7 @@ from slicev.paths import enumerate_paths
 from slicev.syntax import parse_expr
 from slicev.valuation import PUValuation, ValuationSet, construct_agreeing_pu
 
-from conftest import random_pl_set
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, random_pl_set
 
 F = Fraction
 
@@ -76,11 +78,10 @@ def test_value_literal_translates_to_itself():
 
 def test_divide_clause_instantiation():
     tr = translate(parse_expr("divide(cake, mark[1](@cake, eval[1](@cake)))"))
-    whole = interval(c(0), c(1))
     assert tr.result == TupleT((
-        IntervalT(LeftT(whole), y(0)), IntervalT(y(0), RightT(whole))))
-    assert GeF(y(0), LeftT(whole)) in conjuncts(tr.constraint)
-    assert GeF(RightT(whole), y(0)) in conjuncts(tr.constraint)
+        IntervalT(c(0), y(0)), IntervalT(y(0), c(1))))
+    assert GeF(y(0), c(0)) in conjuncts(tr.constraint)
+    assert GeF(c(1), y(0)) in conjuncts(tr.constraint)
 
 
 def test_cake_path_has_empty_constraint():
@@ -118,6 +119,33 @@ def test_projection_of_tuple_literal():
 def test_endpoint_of_interval_literal():
     assert simplify_term(LeftT(interval(c(0), y(0)))) == c(0)
     assert simplify_term(RightT(interval(c(0), y(0)))) == y(0)
+
+
+def _nodes(x):
+    yield x
+    for fld in dataclasses.fields(x):
+        value = getattr(x, fld.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, (Term, Formula)):
+                yield from _nodes(item)
+
+
+def test_translation_is_in_normal_form():
+    # the verify pipeline never calls simplify: translation must already
+    # produce its normal form, on every path of the corpus
+    unreduced = (ProjT, LeftT, RightT, TruthF)
+    n_paths = 0
+    for path_file in [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values()]:
+        program = load(path_file)
+        for path in enumerate_paths(program.body):
+            n_paths += 1
+            tr = translate(path.expr)
+            assert simplify(tr.constraint) == tr.constraint
+            assert simplify_term(tr.result) == tr.result
+            envy = envy_formula(tr.result, program.agents)
+            for root in (tr.result, tr.constraint, envy):
+                assert not any(isinstance(n, unreduced) for n in _nodes(root))
+    assert n_paths == 4360
 
 
 def test_boolean_terms_lift_to_formulas():

@@ -87,6 +87,27 @@ def test_timeout_maps_to_unknown():
         proc.close()
 
 
+def test_crashed_solver_gives_unknown_with_reason(programs):
+    # a solver that dies on start prints a traceback instead of an answer
+    command = [sys.executable, "-c", "import slicev_no_such_module"]
+    res = verify_program(programs["cut_choose"], VerifyConfig(solver=command))
+    assert res.verdict == "unknown"
+    (unknown,) = res.unknowns
+    assert " ".join(command) in unknown.reason
+    assert "'Traceback (most recent call last):'" in unknown.reason
+    assert "exit code 1" in unknown.reason
+
+
+def test_silently_exiting_solver_gives_unknown_with_reason(programs):
+    command = [sys.executable, "-c", "pass"]
+    res = verify_program(programs["cut_choose"], VerifyConfig(solver=command))
+    assert res.verdict == "unknown"
+    (unknown,) = res.unknowns
+    assert " ".join(command) in unknown.reason
+    assert "first output line '(none)'" in unknown.reason
+    assert "exit code 0" in unknown.reason
+
+
 def test_model_parsing_variants():
     text = "((define-fun y0 () Real (/ 1 3)) (define-fun z1 () Real 0.25))"
     assert parse_model(text) == {"y0": F(1, 3), "z1": F(1, 4)}
