@@ -19,8 +19,8 @@ from .interp import check_envy_free, evaluate
 from .logic import translate
 from .paths import count_paths, enumerate_paths
 from .solver import (
-    Counterexample, SolverError, VerifyConfig, emit_smt, build_vc,
-    path_replacements, replay_counterexample, verify_program,
+    Counterexample, SolverError, VerifyConfig, build_vc, path_replacements,
+    replay_counterexample, verify_program, write_query,
 )
 from .syntax import Program, parse, pretty
 from .typecheck import check_wellformed, typecheck
@@ -39,10 +39,9 @@ def _rs(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def load_program(path: str) -> tuple[Program, str]:
+def load_program(path: str) -> Program:
     with open(path) as fh:
-        source = fh.read()
-    return parse(source), source
+        return parse(fh.read())
 
 
 def random_pu_set(n_agents: int, rng: random.Random) -> ValuationSet:
@@ -58,7 +57,7 @@ def random_pu_set(n_agents: int, rng: random.Random) -> ValuationSet:
 
 
 def cmd_typecheck(args) -> int:
-    program, _ = load_program(args.file)
+    program = load_program(args.file)
     violations = check_wellformed(program)
     if args.json:
         payload = {"file": args.file,
@@ -75,7 +74,7 @@ def cmd_typecheck(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    program, _ = load_program(args.file)
+    program = load_program(args.file)
     n = count_paths(program.body)
     if args.json:
         payload = {"file": args.file, "paths": n}
@@ -90,25 +89,19 @@ def cmd_paths(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    program, _ = load_program(args.file)
+    program = load_program(args.file)
     violations = check_wellformed(program)
     if violations:
         for v in violations:
             print(f"{args.file}: {v.code}: {v.message}", file=sys.stderr)
         return EXIT_VIOLATION
-    import os
-    os.makedirs(args.out, exist_ok=True)
     queries = 0
     for path in enumerate_paths(program.body):
         tr = translate(path.expr)
         replacements, _pruned = path_replacements(tr, not args.all_orders)
         for s in replacements:
-            vc = build_vc(tr, s, program.agents)
-            perm = "_".join(str(e) for e in s.order[1:-1]) or "none"
-            name = f"path{path.index:05d}_order_{perm}.smt2"
-            with open(os.path.join(args.out, name), "w") as fh:
-                fh.write(f"; path {path.index}, order {s.describe()}\n")
-                fh.write(emit_smt(vc, program.agents))
+            write_query(args.out, path.index, s,
+                        build_vc(tr, s, program.agents), program.agents)
             queries += 1
     msg = {"file": args.file, "queries": queries, "out": args.out}
     print(json.dumps(msg) if args.json else
@@ -117,7 +110,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    program, source = load_program(args.file)
+    program = load_program(args.file)
     violations = check_wellformed(program)
     if violations:
         if args.json:
@@ -133,7 +126,7 @@ def cmd_verify(args) -> int:
         timeout=args.timeout, jobs=args.jobs, exhaustive=args.exhaustive,
         dump_dir=args.dump_smt, prune=not args.all_orders)
     t0 = time.time()
-    result = verify_program(program, config, source=source)
+    result = verify_program(program, config)
     elapsed = time.time() - t0
     report = {
         "file": args.file,
@@ -178,7 +171,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    program, _ = load_program(args.file)
+    program = load_program(args.file)
     violations = check_wellformed(program)
     if violations:
         for v in violations:
@@ -223,7 +216,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    program, _ = load_program(args.file)
+    program = load_program(args.file)
     with open(args.counterexample) as fh:
         stored = Counterexample.from_json(json.load(fh))
     try:

@@ -13,12 +13,14 @@ from __future__ import annotations
 import os
 import select
 import shutil
+import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import takewhile
+from typing import Iterable, Optional, Union
 
 from .core import SliceError, Value
 from .interp import EnvyWitness, check_envy_free, evaluate
@@ -29,7 +31,7 @@ from .logic import (
     is_linear, ordering_facts, replacement_variables, translate,
 )
 from .paths import Path, enumerate_paths
-from .syntax import Program, parse
+from .syntax import Program
 from .typecheck import check_wellformed
 from .valuation import (
     PUValuation, ValuationSet, valuation_set_from_json, valuation_set_to_json,
@@ -110,6 +112,17 @@ def emit_smt(vc: VC, n_agents: int, standalone: bool = True) -> str:
     lines.append(f"(assert {smt_formula(vc.negated_goal)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
+
+
+def write_query(directory: str, index: int, s: Replacement, vc: VC,
+                n_agents: int) -> None:
+    """Write one query file, headed by its path and order, into `directory`."""
+    perm = "_".join(str(e) for e in s.order[1:-1]) or "none"
+    name = f"path{index:05d}_order_{perm}.smt2"
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, name), "w") as fh:
+        fh.write(f"; path {index}, order {s.describe()}\n")
+        fh.write(emit_smt(vc, n_agents))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +385,10 @@ class VerifyStats:
     translate_seconds: float = 0.0
     solve_seconds: float = 0.0
 
+    def add(self, o: VerifyStats) -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(o, f.name))
+
 
 @dataclass
 class VerifyResult:
@@ -398,39 +415,39 @@ def path_replacements(tr: Translated, prune: bool
     return kept, total - len(kept)
 
 
+Outcome = Optional[Union[Counterexample, SolverVerdictUnknown]]
+
+
 def _check_path(proc: SolverProcess, path: Path, n_agents: int,
-                config: VerifyConfig, stats: VerifyStats,
-                dump=None) -> Optional[Union[Counterexample,
-                                             SolverVerdictUnknown]]:
+                config: VerifyConfig) -> tuple[Outcome, VerifyStats]:
+    stats = VerifyStats(paths=1)
     t0 = time.monotonic()
     tr = translate(path.expr)
-    replacements, pruned = path_replacements(tr, config.prune)
-    stats.orders_pruned += pruned
+    replacements, stats.orders_pruned = path_replacements(tr, config.prune)
     built = [(s, build_vc(tr, s, n_agents)) for s in replacements]
     stats.translate_seconds += time.monotonic() - t0
 
     t1 = time.monotonic()
     for s, vc in built:
         query = emit_smt(vc, n_agents, standalone=False)
-        if dump is not None:
-            dump(path.index, s, emit_smt(vc, n_agents, standalone=True))
+        if config.dump_dir:
+            write_query(config.dump_dir, path.index, s, vc, n_agents)
         stats.queries += 1
         try:
             verdict, model = check_query(proc, query)
         except SolverDied as exc:
             stats.solve_seconds += time.monotonic() - t1
             return SolverVerdictUnknown(
-                f"{exc} (order {s.describe()})", path.index)
+                f"{exc} (order {s.describe()})", path.index), stats
         if verdict == "unsat":
             continue
-        if verdict == "sat":
-            stats.solve_seconds += time.monotonic() - t1
-            return _confirm(model, s, tr, path, n_agents)
         stats.solve_seconds += time.monotonic() - t1
-        return SolverVerdictUnknown(
-            f"solver answered {verdict} (order {s.describe()})", path.index)
+        if verdict == "sat":
+            return _confirm(model, s, tr, path, n_agents), stats
+        return SolverVerdictUnknown(f"solver answered {verdict} (order "
+                                    f"{s.describe()})", path.index), stats
     stats.solve_seconds += time.monotonic() - t1
-    return None
+    return None, stats
 
 
 def _confirm(model: dict, s: Replacement, tr: Translated, path: Path,
@@ -450,91 +467,80 @@ def _confirm(model: dict, s: Replacement, tr: Translated, path: Path,
     return Counterexample(vs, table, path.index, witness, run.value)
 
 
-def _verify_indices(program: Program, config: VerifyConfig,
-                    residues: Optional[set] = None, modulus: int = 1
-                    ) -> VerifyResult:
-    result = VerifyResult("valid")
-    stats = result.stats
-    proc = SolverProcess(config.command(), config.timeout)
-    dump = None
-    if config.dump_dir:
-        os.makedirs(config.dump_dir, exist_ok=True)
-
-        def dump(index, s, text):  # noqa: F811
-            perm = "_".join(str(e) for e in s.order[1:-1]) or "none"
-            name = f"path{index:05d}_order_{perm}.smt2"
-            with open(os.path.join(config.dump_dir, name), "w") as fh:
-                fh.write(f"; path {index}, order {s.describe()}\n{text}")
-
-    try:
-        for path in enumerate_paths(program.body):
-            if residues is not None and path.index % modulus not in residues:
-                continue
-            stats.paths += 1
-            hit = _check_path(proc, path, program.agents, config, stats, dump)
-            if isinstance(hit, Counterexample):
-                result.counterexamples.append(hit)
-                if not config.exhaustive:
-                    break
-            elif isinstance(hit, SolverVerdictUnknown):
-                result.unknowns.append(hit)
-                if not config.exhaustive:
-                    break
-    finally:
-        proc.close()
-    if result.counterexamples:
-        result.verdict = "invalid"
-    elif result.unknowns:
-        result.verdict = "unknown"
-    return result
+# A pool worker's (config, n_agents, stop event), and its solver: started on
+# the first path, as a `Pool` whose initializer raises starts new workers
+# forever, and closed when the worker exits.
+_job = _proc = None
 
 
-def _worker(args) -> VerifyResult:
-    source, config_dict, residues, modulus = args
-    program = parse(source)
-    config = VerifyConfig(**config_dict)
-    return _verify_indices(program, config, set(residues), modulus)
+def _start_worker(*job) -> None:
+    # Ctrl-C is left to the parent, which stops the pool as on any exit.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    global _job
+    _job = job
+
+
+def _check_in_worker(path: Path) -> tuple[Outcome, VerifyStats]:
+    global _proc
+    config, n_agents, stop = _job
+    if stop.is_set():
+        return None, VerifyStats()
+    if _proc is None:
+        from multiprocessing.util import Finalize
+        _proc = SolverProcess(config.command(), config.timeout)
+        Finalize(None, _proc.close, exitpriority=0)
+    return _check_path(_proc, path, n_agents, config)
 
 
 def verify_program(program: Program, config: Optional[VerifyConfig] = None,
                    source: Optional[str] = None) -> VerifyResult:
     """Full pipeline: well-formedness gate, then one query per compatible
-    (path, replacement) pair; Valid only when every query is unsat."""
+    (path, replacement) pair; Valid only when every query is unsat.  Only the
+    timers (summed over workers) vary with `jobs`; `source` is not needed."""
     config = config or VerifyConfig()
     violations = check_wellformed(program)
     if violations:
         raise SliceError(
             "protocol is not well-formed: "
             + "; ".join(v.message for v in violations))
-    if config.jobs <= 1 or source is None:
-        return _verify_indices(program, config)
+    paths = enumerate_paths(program.body)
+    if config.jobs <= 1:
+        proc = SolverProcess(config.command(), config.timeout)
+        try:
+            return _collect((_check_path(proc, path, program.agents, config)
+                             for path in paths), config.exhaustive)
+        finally:
+            proc.close()
+    import multiprocessing
+    stop = multiprocessing.Event()
+    pool = multiprocessing.Pool(config.jobs, _start_worker,
+                                (config, program.agents, stop))
+    try:
+        return _collect(pool.imap(_check_in_worker, takewhile(
+            lambda _: not stop.is_set(), paths)), config.exhaustive)
+    finally:
+        stop.set()
+        pool.close()
+        pool.join()
 
-    import multiprocessing as mp
-    jobs = config.jobs
-    config_dict = {"solver": config.solver, "timeout": config.timeout,
-                   "jobs": 1, "exhaustive": config.exhaustive,
-                   "dump_dir": config.dump_dir, "prune": config.prune}
-    tasks = [(source, config_dict, [r], jobs) for r in range(jobs)]
-    with mp.Pool(jobs) as pool:
-        partials = pool.map(_worker, tasks)
-    merged = VerifyResult("valid")
-    for part in partials:
-        merged.counterexamples.extend(part.counterexamples)
-        merged.unknowns.extend(part.unknowns)
-        merged.stats.paths += part.stats.paths
-        merged.stats.queries += part.stats.queries
-        merged.stats.orders_pruned += part.stats.orders_pruned
-        merged.stats.translate_seconds = max(
-            merged.stats.translate_seconds, part.stats.translate_seconds)
-        merged.stats.solve_seconds = max(
-            merged.stats.solve_seconds, part.stats.solve_seconds)
-    merged.counterexamples.sort(key=lambda c: c.path_index)
-    merged.unknowns.sort(key=lambda u: u.path_index or 0)
-    if merged.counterexamples:
-        merged.verdict = "invalid"
-    elif merged.unknowns:
-        merged.verdict = "unknown"
-    return merged
+
+def _collect(outcomes: Iterable, exhaustive: bool) -> VerifyResult:
+    """Sum the stats of `outcomes`, (outcome, stats) pairs in path order, up
+    to the first counterexample or unknown, or to the end if `exhaustive`."""
+    result = VerifyResult("valid")
+    for outcome, stats in outcomes:
+        result.stats.add(stats)
+        if isinstance(outcome, Counterexample):
+            result.counterexamples.append(outcome)
+        elif outcome is not None:
+            result.unknowns.append(outcome)
+        if outcome is not None and not exhaustive:
+            break
+    if result.counterexamples:
+        result.verdict = "invalid"
+    elif result.unknowns:
+        result.verdict = "unknown"
+    return result
 
 
 def replay_counterexample(program: Program, stored: StoredCounterexample

@@ -111,5 +111,8 @@ def test_verify_reports_total_paths_when_short_circuiting(capsys):
 
 
 def test_broken_solver_command_exits_two(capsys):
-    code = main(["verify", CC, "--solver", "definitely-no-such-solver-binary"])
-    assert code == 2
+    for jobs in ("1", "2"):
+        code = main(["verify", CC, "--solver",
+                     "definitely-no-such-solver-binary", "--jobs", jobs])
+        assert code == 2
+        assert "cannot start solver" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from slicev.solver import (
 )
 from slicev.syntax import parse
 
-from conftest import BAD_PROTOCOLS, load, load_source
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, load_source
 
 F = Fraction
 
@@ -90,22 +91,30 @@ def test_timeout_maps_to_unknown():
 def test_crashed_solver_gives_unknown_with_reason(programs):
     # a solver that dies on start prints a traceback instead of an answer
     command = [sys.executable, "-c", "import slicev_no_such_module"]
-    res = verify_program(programs["cut_choose"], VerifyConfig(solver=command))
-    assert res.verdict == "unknown"
-    (unknown,) = res.unknowns
-    assert " ".join(command) in unknown.reason
-    assert "'Traceback (most recent call last):'" in unknown.reason
-    assert "exit code 1" in unknown.reason
+    source = load_source(GOOD_PROTOCOLS["cut_choose"])
+    for jobs in (1, 2):
+        res = verify_program(programs["cut_choose"],
+                             VerifyConfig(solver=command, jobs=jobs),
+                             source=source)
+        assert res.verdict == "unknown"
+        (unknown,) = res.unknowns
+        assert " ".join(command) in unknown.reason
+        assert "'Traceback (most recent call last):'" in unknown.reason
+        assert "exit code 1" in unknown.reason
 
 
 def test_silently_exiting_solver_gives_unknown_with_reason(programs):
     command = [sys.executable, "-c", "pass"]
-    res = verify_program(programs["cut_choose"], VerifyConfig(solver=command))
-    assert res.verdict == "unknown"
-    (unknown,) = res.unknowns
-    assert " ".join(command) in unknown.reason
-    assert "first output line '(none)'" in unknown.reason
-    assert "exit code 0" in unknown.reason
+    source = load_source(GOOD_PROTOCOLS["cut_choose"])
+    for jobs in (1, 2):
+        res = verify_program(programs["cut_choose"],
+                             VerifyConfig(solver=command, jobs=jobs),
+                             source=source)
+        assert res.verdict == "unknown"
+        (unknown,) = res.unknowns
+        assert " ".join(command) in unknown.reason
+        assert "first output line '(none)'" in unknown.reason
+        assert "exit code 0" in unknown.reason
 
 
 def test_model_parsing_variants():
@@ -202,15 +211,42 @@ def test_verification_is_deterministic(bad_programs):
     assert r1.counterexample.mark_table == r2.counterexample.mark_table
 
 
-def test_parallel_matches_sequential(bad_programs):
-    source = load_source(BAD_PROTOCOLS["scs_allocates_trimmings"])
-    program = parse(source)
-    seq = verify_program(program, VerifyConfig(solver=BUNDLED, jobs=1),
-                         source=source)
-    par = verify_program(program, VerifyConfig(solver=BUNDLED, jobs=2),
-                         source=source)
-    assert seq.verdict == par.verdict == "invalid"
-    assert seq.counterexample.path_index == par.counterexample.path_index
+def outcome(res) -> tuple:
+    return (res.verdict, [c.to_json() for c in res.counterexamples],
+            res.unknowns, res.stats.paths, res.stats.queries,
+            res.stats.orders_pruned)
+
+
+def test_parallel_matches_sequential():
+    # (protocol, exhaustive, pass the source): every bad protocol, one
+    # exhaustive run, and one run without the source text
+    cases = [(name, False, True) for name in sorted(BAD_PROTOCOLS)]
+    cases += [("cut_choose_swapped_branch", True, True),
+              ("scs_not_forced", False, False)]
+    for name, exhaustive, with_source in cases:
+        source = load_source(BAD_PROTOCOLS[name])
+        seq, par = (verify_program(
+            parse(source),
+            VerifyConfig(solver=BUNDLED, jobs=jobs, exhaustive=exhaustive),
+            source=source if with_source else None) for jobs in (1, 2))
+        assert seq.verdict == "invalid", name
+        assert outcome(par) == outcome(seq), name
+
+
+def test_early_stop_leaves_no_solver_running(tmp_path):
+    # each solver records its pid, then becomes the bundled solver
+    record = ("import os, sys; "
+              f"open(os.path.join({str(tmp_path)!r}, str(os.getpid())), 'w')"
+              ".close(); os.execv(sys.executable, BUNDLED)")
+    command = [sys.executable, "-c", f"BUNDLED = {BUNDLED!r}; {record}"]
+    program = load(BAD_PROTOCOLS["scf_taker_cuts"])
+    res = verify_program(program, VerifyConfig(solver=command, jobs=2))
+    assert res.verdict == "invalid" and res.stats.paths < 1800
+    pids = [int(p.name) for p in tmp_path.iterdir()]
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_exhaustive_collects_more(bad_programs):
