@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -365,6 +365,32 @@ def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, EvalQ):
         return (e.arg,)
     raise SliceError(f"unknown expression {e!r}")
+
+
+def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """`e` with its `children` replaced by `kids`; every other field, mark
+    and if ids included, is kept.  Leaves come back unchanged."""
+    if isinstance(e, (Lit, Var, AffVar, ReadVar, Cake)):
+        return e
+    if isinstance(e, TupleE):
+        return TupleE(tuple(kids))
+    if isinstance(e, Split):
+        return Split(e.binders, kids[0], kids[1])
+    if isinstance(e, If):
+        return If(kids[0], kids[1], kids[2], e.if_id)
+    if isinstance(e, AssertE):
+        return AssertE(kids[0], kids[1])
+    if isinstance(e, Op):
+        return Op(e.op, tuple(kids), e.coeff)
+    if isinstance(e, Divide):
+        return Divide(kids[0], kids[1])
+    if isinstance(e, PieceE):
+        return PieceE(tuple(kids))
+    if isinstance(e, Mark):
+        return Mark(e.agent, kids[0], kids[1], e.mark_id)
+    if isinstance(e, EvalQ):
+        return EvalQ(e.agent, kids[0])
+    raise SliceError(f"cannot rebuild {e!r}")
 
 
 def walk(e: Expr) -> Iterator[Expr]:

@@ -200,6 +200,67 @@ class ImpF(Formula):
     conclusion: Formula
 
 
+# ---------------------------------------------------------------------------
+# Node shapes: every structural walk goes through `parts` and `rebuild`
+# ---------------------------------------------------------------------------
+
+Node = Union[Term, Formula]
+_LEAVES = (Const, YVar, ZVar, BConst, TrueF, FalseF)
+
+
+def parts(x: Node) -> tuple[Node, ...]:
+    """Immediate sub-terms and sub-formulas of `x`, in field order."""
+    if isinstance(x, _LEAVES):
+        return ()
+    if isinstance(x, (AddT, GeF, EqF, TAnd, TOr, TGe, TEq)):
+        return (x.left, x.right)
+    if isinstance(x, (AndF, OrF, TupleT)):
+        return x.items
+    if isinstance(x, (ScaleT, NotF, TNot)):
+        return (x.arg,)
+    if isinstance(x, ValT):
+        return (x.piece,)
+    if isinstance(x, IntervalT):
+        return (x.lo, x.hi)
+    if isinstance(x, UnionT):
+        return x.intervals
+    if isinstance(x, ImpF):
+        return (x.premise, x.conclusion)
+    if isinstance(x, ProjT):
+        return (x.tup,)
+    if isinstance(x, (LeftT, RightT)):
+        return (x.interval,)
+    if isinstance(x, TruthF):
+        return (x.term,)
+    raise LogicError(f"unknown node {x!r}")
+
+
+def rebuild(x: Node, new: Iterable[Node]) -> Node:
+    """`x` with its `parts` replaced by `new`; its other fields are kept.
+    Leaves come back unchanged."""
+    if isinstance(x, _LEAVES):
+        return x
+    if isinstance(x, ScaleT):
+        return ScaleT(x.coeff, *new)
+    if isinstance(x, (AddT, GeF, EqF, NotF, ImpF, IntervalT, TAnd, TOr, TGe,
+                      TEq, TNot, LeftT, RightT, TruthF)):
+        return type(x)(*new)
+    if isinstance(x, (AndF, OrF, TupleT, UnionT)):
+        return type(x)(tuple(new))
+    if isinstance(x, ValT):
+        return ValT(x.agent, *new)
+    if isinstance(x, ProjT):
+        return ProjT(x.index, *new)
+    raise LogicError(f"unknown node {x!r}")
+
+
+def subterms(x: Node) -> Iterator[Node]:
+    """`x` and every node below it, in pre-order."""
+    yield x
+    for p in parts(x):
+        yield from subterms(p)
+
+
 def proj(index: int, t: Term) -> Term:
     """The 1-based component of a tuple term, reduced when `t` is a tuple."""
     return t.items[index - 1] if isinstance(t, TupleT) else ProjT(index, t)
@@ -385,35 +446,14 @@ def envy_formula(alloc: Term, n_agents: int) -> Formula:
 
 def simplify_term(t: Term) -> Term:
     """Normal form of a hand-built term; `translate` already produces it."""
+    new = [simplify_term(p) for p in parts(t)]
     if isinstance(t, ProjT):
-        return proj(t.index, simplify_term(t.tup))
+        return proj(t.index, new[0])
     if isinstance(t, LeftT):
-        return left(simplify_term(t.interval))
+        return left(new[0])
     if isinstance(t, RightT):
-        return right(simplify_term(t.interval))
-    if isinstance(t, IntervalT):
-        return IntervalT(simplify_term(t.lo), simplify_term(t.hi))
-    if isinstance(t, UnionT):
-        return UnionT(tuple(simplify_term(i) for i in t.intervals))
-    if isinstance(t, TupleT):
-        return TupleT(tuple(simplify_term(i) for i in t.items))
-    if isinstance(t, ValT):
-        return ValT(t.agent, simplify_term(t.piece))
-    if isinstance(t, AddT):
-        return AddT(simplify_term(t.left), simplify_term(t.right))
-    if isinstance(t, ScaleT):
-        return ScaleT(t.coeff, simplify_term(t.arg))
-    if isinstance(t, TAnd):
-        return TAnd(simplify_term(t.left), simplify_term(t.right))
-    if isinstance(t, TOr):
-        return TOr(simplify_term(t.left), simplify_term(t.right))
-    if isinstance(t, TNot):
-        return TNot(simplify_term(t.arg))
-    if isinstance(t, TGe):
-        return TGe(simplify_term(t.left), simplify_term(t.right))
-    if isinstance(t, TEq):
-        return TEq(simplify_term(t.left), simplify_term(t.right))
-    return t
+        return right(new[0])
+    return rebuild(t, new)
 
 
 def _lift(t: Term) -> Formula:
@@ -433,81 +473,20 @@ def _lift(t: Term) -> Formula:
     raise LogicError(f"not a boolean term: {t!r}")
 
 
-def simplify(f: Union[Formula, Term]) -> Union[Formula, Term]:
+def simplify(f: Node) -> Node:
     """Reduce projections and endpoint selectors; lift boolean terms."""
     if isinstance(f, Term):
         return simplify_term(f)
     if isinstance(f, TruthF):
         return _lift(simplify_term(f.term))
-    if isinstance(f, GeF):
-        return GeF(simplify_term(f.left), simplify_term(f.right))
-    if isinstance(f, EqF):
-        return EqF(simplify_term(f.left), simplify_term(f.right))
-    if isinstance(f, NotF):
-        return NotF(simplify(f.arg))
-    if isinstance(f, AndF):
-        return conj([simplify(i) for i in f.items])
-    if isinstance(f, OrF):
-        return OrF(tuple(simplify(i) for i in f.items))
-    if isinstance(f, ImpF):
-        return ImpF(simplify(f.premise), simplify(f.conclusion))
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    raise LogicError(f"cannot simplify {f!r}")
+    new = [simplify(p) for p in parts(f)]
+    return conj(new) if isinstance(f, AndF) else rebuild(f, new)
 
 
-def _formula_terms(f: Formula) -> Iterator[Term]:
-    if isinstance(f, (GeF, EqF)):
-        yield f.left
-        yield f.right
-    elif isinstance(f, TruthF):
-        yield f.term
-    elif isinstance(f, NotF):
-        yield from _formula_terms(f.arg)
-    elif isinstance(f, (AndF, OrF)):
-        for i in f.items:
-            yield from _formula_terms(i)
-    elif isinstance(f, ImpF):
-        yield from _formula_terms(f.premise)
-        yield from _formula_terms(f.conclusion)
-
-
-def _term_point_atoms(t: Term, out: set) -> None:
-    if isinstance(t, (YVar, Const)):
-        out.add(t)
-    elif isinstance(t, IntervalT):
-        _term_point_atoms(t.lo, out)
-        _term_point_atoms(t.hi, out)
-    elif isinstance(t, UnionT):
-        for i in t.intervals:
-            _term_point_atoms(i, out)
-    elif isinstance(t, (TupleT,)):
-        for i in t.items:
-            _term_point_atoms(i, out)
-    elif isinstance(t, ValT):
-        _term_point_atoms(t.piece, out)
-    elif isinstance(t, AddT):
-        _term_point_atoms(t.left, out)
-        _term_point_atoms(t.right, out)
-    elif isinstance(t, ScaleT):
-        _term_point_atoms(t.arg, out)
-    elif isinstance(t, (TAnd, TOr, TGe, TEq)):
-        _term_point_atoms(t.left, out)
-        _term_point_atoms(t.right, out)
-    elif isinstance(t, TNot):
-        _term_point_atoms(t.arg, out)
-
-
-def point_atoms(f: Union[Formula, Term]) -> set:
+def point_atoms(f: Node) -> set:
     """Point-sorted atoms (constants and mark variables) of a simplified
     formula or term; z-variables are real-sorted and excluded."""
-    out: set = set()
-    if isinstance(f, Term):
-        _term_point_atoms(f, out)
-        return out
-    for t in _formula_terms(f):
-        _term_point_atoms(t, out)
-    return out
+    return {t for t in subterms(f) if isinstance(t, (YVar, Const))}
 
 
 # ---------------------------------------------------------------------------
@@ -612,36 +591,12 @@ def _window_sum(s: Replacement, agent: int, piece: Term) -> Term:
     return total
 
 
-def apply_replacement(s: Replacement, f: Union[Formula, Term]
-                      ) -> Union[Formula, Term]:
+def apply_replacement(s: Replacement, f: Node) -> Node:
     """Rewrite valuation terms into sums (y - z_agent_y) over the order's
     windows; everything else is untouched."""
-    if isinstance(f, Term):
-        t = f
-        if isinstance(t, ValT):
-            return _window_sum(s, t.agent, t.piece)
-        if isinstance(t, AddT):
-            return AddT(apply_replacement(s, t.left),
-                        apply_replacement(s, t.right))
-        if isinstance(t, ScaleT):
-            return ScaleT(t.coeff, apply_replacement(s, t.arg))
-        return t
-    if isinstance(f, GeF):
-        return GeF(apply_replacement(s, f.left), apply_replacement(s, f.right))
-    if isinstance(f, EqF):
-        return EqF(apply_replacement(s, f.left), apply_replacement(s, f.right))
-    if isinstance(f, NotF):
-        return NotF(apply_replacement(s, f.arg))
-    if isinstance(f, AndF):
-        return AndF(tuple(apply_replacement(s, i) for i in f.items))
-    if isinstance(f, OrF):
-        return OrF(tuple(apply_replacement(s, i) for i in f.items))
-    if isinstance(f, ImpF):
-        return ImpF(apply_replacement(s, f.premise),
-                    apply_replacement(s, f.conclusion))
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    raise LogicError(f"cannot apply replacement to {f!r}")
+    if isinstance(f, ValT):
+        return _window_sum(s, f.agent, f.piece)
+    return rebuild(f, [apply_replacement(s, p) for p in parts(f)])
 
 
 def order_formula(s: Replacement, n_agents: int) -> Formula:
@@ -703,29 +658,13 @@ def build_vc(tr: Translated, s: Replacement, n_agents: int) -> VC:
     return VC(ImpF(premise, goal), premise, NotF(goal), s)
 
 
-def is_linear_term(t: Term) -> bool:
-    if isinstance(t, (Const, YVar, ZVar)):
-        return True
-    if isinstance(t, AddT):
-        return is_linear_term(t.left) and is_linear_term(t.right)
-    if isinstance(t, ScaleT):
-        return is_linear_term(t.arg)
-    return False
+_LINEAR = (Const, YVar, ZVar, AddT, ScaleT,
+           TrueF, FalseF, GeF, EqF, NotF, AndF, OrF, ImpF)
 
 
 def is_linear(f: Formula) -> bool:
     """Every atom compares linear combinations of real variables."""
-    if isinstance(f, (TrueF, FalseF)):
-        return True
-    if isinstance(f, (GeF, EqF)):
-        return is_linear_term(f.left) and is_linear_term(f.right)
-    if isinstance(f, NotF):
-        return is_linear(f.arg)
-    if isinstance(f, (AndF, OrF)):
-        return all(is_linear(i) for i in f.items)
-    if isinstance(f, ImpF):
-        return is_linear(f.premise) and is_linear(f.conclusion)
-    return False
+    return all(isinstance(x, _LINEAR) for x in subterms(f))
 
 
 # ---------------------------------------------------------------------------

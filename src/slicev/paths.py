@@ -10,11 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (
-    OP_NOT,
-    AssertE, Cake, Divide, EvalQ, Expr, If, Lit, Mark, Op, PieceE, ReadVar,
-    SliceError, Split, TupleE, Var, AffVar, children,
-)
+from .core import OP_NOT, AssertE, Expr, If, Op, SliceError, children, rebuild
 
 
 @dataclass(frozen=True)
@@ -23,32 +19,9 @@ class Path:
     index: int
 
 
-def _leaf(e: Expr) -> bool:
-    return isinstance(e, (Lit, Var, AffVar, ReadVar, Cake))
-
-
-def _rebuild(e: Expr, parts: list[Expr]) -> Expr:
-    if isinstance(e, TupleE):
-        return TupleE(tuple(parts))
-    if isinstance(e, Split):
-        return Split(e.binders, parts[0], parts[1])
-    if isinstance(e, AssertE):
-        return AssertE(parts[0], parts[1])
-    if isinstance(e, Op):
-        return Op(e.op, tuple(parts), e.coeff)
-    if isinstance(e, Divide):
-        return Divide(parts[0], parts[1])
-    if isinstance(e, PieceE):
-        return PieceE(tuple(parts))
-    if isinstance(e, Mark):
-        return Mark(e.agent, parts[0], parts[1], e.mark_id)
-    if isinstance(e, EvalQ):
-        return EvalQ(e.agent, parts[0])
-    raise SliceError(f"cannot rebuild {e!r}")
-
-
 def _stream(e: Expr) -> Iterator[Expr]:
-    if _leaf(e):
+    kids = children(e)
+    if not kids:   # cheaper than the product generator below
         yield e
         return
     if isinstance(e, If):
@@ -59,11 +32,10 @@ def _stream(e: Expr) -> Iterator[Expr]:
             for be in _stream(e.els):
                 yield AssertE(Op(OP_NOT, (bg,)), be)
         return
-    kids = children(e)
 
     def product(i: int, acc: list[Expr]) -> Iterator[Expr]:
         if i == len(kids):
-            yield _rebuild(e, acc)
+            yield rebuild(e, acc)
             return
         for b in _stream(kids[i]):
             yield from product(i + 1, acc + [b])
@@ -78,8 +50,6 @@ def enumerate_paths(e: Expr) -> Iterator[Path]:
 
 
 def count_paths(e: Expr) -> int:
-    if _leaf(e):
-        return 1
     if isinstance(e, If):
         return count_paths(e.guard) * (count_paths(e.then) + count_paths(e.els))
     total = 1
@@ -90,8 +60,6 @@ def count_paths(e: Expr) -> int:
 
 def select_path(e: Expr, decisions: dict) -> Expr:
     """The unique path consistent with a map from if ids to guard values."""
-    if _leaf(e):
-        return e
     if isinstance(e, If):
         if e.if_id not in decisions:
             raise SliceError(f"no decision recorded for if #{e.if_id}")
@@ -101,13 +69,11 @@ def select_path(e: Expr, decisions: dict) -> Expr:
         return AssertE(Op(OP_NOT, (guard,)),
                        select_path(e.els, decisions))
     kids = [select_path(c, decisions) for c in children(e)]
-    return _rebuild(e, kids)
+    return rebuild(e, kids)
 
 
 def path_index(e: Expr, decisions: dict) -> int:
     """Index the selected path would get in `enumerate_paths` order."""
-    if _leaf(e):
-        return 0
     if isinstance(e, If):
         g = path_index(e.guard, decisions)
         ng, nt, ne = (count_paths(e.guard), count_paths(e.then),

@@ -28,7 +28,7 @@ from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, ImpF, NotF, OrF,
     Replacement, ScaleT, Term, TrueF, Translated, YVar, ZVar, ONE_KEY,
     ZERO_KEY, build_vc, compatible_replacements, enumerate_replacements,
-    is_linear, ordering_facts, replacement_variables, translate,
+    ordering_facts, replacement_variables, translate,
 )
 from .paths import Path, enumerate_paths
 from .syntax import Program
@@ -98,9 +98,8 @@ def smt_formula(f: Formula) -> str:
 
 
 def emit_smt(vc: VC, n_agents: int, standalone: bool = True) -> str:
-    """Negation query for one verification condition; unsat means valid."""
-    if not is_linear(vc.antecedent) or not is_linear(vc.negated_goal):
-        raise SolverError("verification condition is not linear")
+    """Negation query for one verification condition; unsat means valid.
+    A node outside linear real arithmetic raises `SolverError`."""
     ys, zs = replacement_variables(vc.replacement, n_agents)
     lines = []
     if standalone:
@@ -171,6 +170,8 @@ class SolverProcess:
             except OSError:
                 pass
             self.proc.wait()
+            self.proc.stdin.close()
+            self.proc.stdout.close()
             self.proc = None
 
     def send(self, text: str) -> None:

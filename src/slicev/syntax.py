@@ -16,7 +16,7 @@ from .core import (
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
     AssertE, AffVar, BoolVal, Cake, Divide, EvalQ, Expr, If, IntervalVal, Lit,
     Mark, Op, PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError,
-    Split, TupleE, Var, children,
+    Split, TupleE, Var, children, rebuild,
 )
 
 
@@ -335,23 +335,7 @@ def assign_mark_ids(e: Expr) -> Expr:
             iid = counter["if"]
             counter["if"] += 1
             return If(go(node.guard), go(node.then), go(node.els), iid)
-        if isinstance(node, Lit) or not children(node):
-            return node
-        if isinstance(node, TupleE):
-            return TupleE(tuple(go(c) for c in node.items))
-        if isinstance(node, Split):
-            return Split(node.binders, go(node.scrutinee), go(node.body))
-        if isinstance(node, AssertE):
-            return AssertE(go(node.guard), go(node.body))
-        if isinstance(node, Op):
-            return Op(node.op, tuple(go(c) for c in node.args), node.coeff)
-        if isinstance(node, Divide):
-            return Divide(go(node.interval), go(node.point))
-        if isinstance(node, PieceE):
-            return PieceE(tuple(go(c) for c in node.items))
-        if isinstance(node, EvalQ):
-            return EvalQ(node.agent, go(node.arg))
-        raise SliceError(f"unhandled node {node!r}")
+        return rebuild(node, [go(c) for c in children(node)])
 
     return go(e)
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,14 @@ from hypothesis import given, strategies as st
 
 from slicev.core import (
     BOOL, INTVL, PIECE, POINT, RD_INTVL, RD_PIECE, VLTN,
-    BoolVal, IntervalVal, PieceVal, PointVal, ReadOnlyVal, SliceError,
-    TProduct, TupleVal, VltnVal, interval_list, is_disjoint, read, unread,
-    value_type,
+    AffVar, BoolVal, Expr, IntervalVal, PieceVal, PointVal, ReadOnlyVal,
+    SliceError, TProduct, TupleVal, VltnVal, children, interval_list,
+    is_disjoint, read, rebuild, unread, value_type, walk,
 )
+from slicev.paths import enumerate_paths
 from slicev.syntax import parse
+
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, ILL_TYPED_SURPLUS, load
 
 F = Fraction
 
@@ -189,3 +193,29 @@ def test_every_value_has_exactly_one_type(v):
 def test_malformed_interval_rejected():
     with pytest.raises(SliceError):
         IntervalVal(F(1), F(0))
+
+
+# -- expression shapes --------------------------------------------------------
+
+def test_children_and_rebuild_follow_the_dataclass_fields():
+    files = [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values(), ILL_TYPED_SURPLUS]
+    assert len(files) == 13
+    roots = [AffVar("x")]
+    for path in files:
+        body = load(path).body
+        roots += [body, next(enumerate_paths(body)).expr]
+    kinds = set()
+    for e in (node for root in roots for node in walk(root)):
+        kinds.add(type(e))
+        fields = []
+        for fld in dataclasses.fields(e):
+            value = getattr(e, fld.name)
+            fields += [v for v in (value if isinstance(value, tuple)
+                                   else (value,)) if isinstance(v, Expr)]
+        assert list(children(e)) == fields
+        again = rebuild(e, children(e))
+        assert again == e
+        # compare=False: equality does not look at the ids
+        assert getattr(again, "mark_id", None) == getattr(e, "mark_id", None)
+        assert getattr(again, "if_id", None) == getattr(e, "if_id", None)
+    assert kinds == set(Expr.__subclasses__())

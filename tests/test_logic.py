@@ -1,20 +1,23 @@
 import dataclasses
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from slicev.logic import (
-    AddT, Const, EqF, Formula, GeF, IntervalT, LeftT, NotF, OrF,
-    PointAtomNotInS, ProjT, RightT, ScaleT, Term, TruthF, TupleT, UnionT,
-    ValT, YVar, ZVar,
+    AddT, BConst, Const, EqF, Formula, GeF, ImpF, IntervalT, LeftT, NotF, OrF,
+    PointAtomNotInS, ProjT, RightT, ScaleT, TAnd, TEq, TGe, TNot, TOr, Term,
+    TruthF, TupleT, UnionT, ValT, YVar, ZVar,
     ZERO_KEY, ONE_KEY, apply_replacement, build_vc, compatible_replacements,
     conjuncts, enumerate_replacements, envy_formula, eval_formula, is_linear,
-    order_formula, ordering_facts, point_atoms,
-    replacement_from_permutation, simplify, simplify_term, term_to_value,
-    translate,
+    order_formula, ordering_facts, parts, point_atoms, rebuild,
+    replacement_from_permutation, simplify, simplify_term, subterms,
+    term_to_value, translate,
 )
 from slicev.paths import enumerate_paths
+from slicev.solver import path_replacements
 from slicev.syntax import parse_expr
 from slicev.valuation import PUValuation, ValuationSet, construct_agreeing_pu
 
@@ -121,13 +124,26 @@ def test_endpoint_of_interval_literal():
     assert simplify_term(RightT(interval(c(0), y(0)))) == y(0)
 
 
-def _nodes(x):
-    yield x
-    for fld in dataclasses.fields(x):
-        value = getattr(x, fld.name)
+@functools.cache
+def _field_names(kind):
+    return [fld.name for fld in dataclasses.fields(kind)]
+
+
+def _node_fields(x):
+    """The node-valued dataclass fields of `x`, in field order."""
+    out = []
+    for name in _field_names(type(x)):
+        value = getattr(x, name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, (Term, Formula)):
-                yield from _nodes(item)
+                out.append(item)
+    return out
+
+
+def _nodes(x):
+    yield x
+    for item in _node_fields(x):
+        yield from _nodes(item)
 
 
 def test_translation_is_in_normal_form():
@@ -146,6 +162,49 @@ def test_translation_is_in_normal_form():
             for root in (tr.result, tr.constraint, envy):
                 assert not any(isinstance(n, unreduced) for n in _nodes(root))
     assert n_paths == 4360
+
+
+def _check_shapes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = parts(node)
+        assert list(kids) == _node_fields(node)
+        assert rebuild(node, kids) == node
+        stack.extend(kids)
+
+
+def test_parts_and_rebuild_follow_the_dataclass_fields():
+    # `parts`/`rebuild` spell out each node's shape once; the reflection
+    # oracle `_node_fields` reads it off the dataclass fields instead
+    n_paths = 0
+    for path_file in [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values()]:
+        program = load(path_file)
+        for path in enumerate_paths(program.body):
+            n_paths += 1
+            tr = translate(path.expr)
+            _check_shapes(tr.result)
+            _check_shapes(tr.constraint)
+            for s in path_replacements(tr, prune=True)[0]:
+                _check_shapes(build_vc(tr, s, program.agents).formula)
+    assert n_paths == 4360
+    p = interval(c(0), y(0))
+    pair = TupleT((p, UnionT((interval(y(0), c(1)),))))
+    hand_built = [
+        ProjT(2, pair), LeftT(p), RightT(p), ScaleT(F(1, 3), ValT(2, p)),
+        TruthF(TAnd(TOr(TNot(BConst(True)), TGe(y(0), c(0))),
+                    TEq(ValT(1, ProjT(1, pair)), z(1, ONE_KEY)))),
+        ImpF(OrF((GeF(y(0), c(0)), NotF(EqF(y(0), c(1))))), TruthF(BConst(False))),
+    ]
+    for node in hand_built:
+        _check_shapes(node)
+        walked, oracle = list(subterms(node)), list(_nodes(node))
+        assert len(walked) == len(oracle)
+        assert all(map(operator.is_, walked, oracle))
+    # the fields that are not nodes survive a rebuild with new parts
+    assert rebuild(ProjT(2, pair), [p]) == ProjT(2, p)
+    assert rebuild(ValT(3, p), [pair]) == ValT(3, pair)
+    assert rebuild(ScaleT(F(1, 3), y(0)), [y(1)]) == ScaleT(F(1, 3), y(1))
 
 
 def test_boolean_terms_lift_to_formulas():

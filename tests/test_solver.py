@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -7,17 +9,18 @@ import pytest
 
 from slicev.interp import evaluate, check_envy_free
 from slicev.logic import (
-    ONE_KEY, YVar, ZVar, build_vc, replacement_from_permutation, translate,
+    ONE_KEY, AndF, Const, EqF, GeF, IntervalT, ProjT, TGe, TruthF, TupleT,
+    ValT, YVar, ZVar, build_vc, replacement_from_permutation, translate,
 )
 from slicev.paths import enumerate_paths
 from slicev.solver import (
-    Counterexample, SolverProcess, VerifyConfig, check_query,
+    Counterexample, SolverError, SolverProcess, VerifyConfig, check_query,
     default_solver_command, emit_smt, extract_valuation_set, parse_model,
     replay_counterexample, smt_name, verify_program,
 )
 from slicev.syntax import parse
 
-from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, load_source
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, REPO, load, load_source
 
 F = Fraction
 
@@ -45,6 +48,20 @@ def test_emit_uses_exact_rationals(programs):
     assert "(/ 1 2)" in script
     assert "0.5" not in script
     assert "(set-logic QF_LRA)" in script
+
+
+def test_emit_rejects_nonlinear_nodes(programs):
+    vc = cut_choose_vc(programs)
+    piece = IntervalT(Const(F(0)), YVar(0))
+    nonlinear = [GeF(ValT(1, piece), YVar(0)), EqF(piece, piece),
+                 TruthF(TGe(YVar(0), Const(F(0)))),
+                 GeF(ProjT(1, TupleT((YVar(0),))), YVar(0))]
+    for atom in nonlinear:
+        for side in ("antecedent", "negated_goal"):
+            broken = dataclasses.replace(
+                vc, **{side: AndF((getattr(vc, side), atom))})
+            with pytest.raises(SolverError):
+                emit_smt(broken, 2)
 
 
 def test_variable_naming_deterministic():
@@ -115,6 +132,23 @@ def test_silently_exiting_solver_gives_unknown_with_reason(programs):
         assert " ".join(command) in unknown.reason
         assert "first output line '(none)'" in unknown.reason
         assert "exit code 0" in unknown.reason
+
+
+def test_verify_leaves_no_unclosed_files():
+    # -X dev reports every file object left to the garbage collector
+    script = ("import pathlib; from slicev import VerifyConfig, parse, "
+              "verify_program; program = parse(pathlib.Path("
+              f"{str(GOOD_PROTOCOLS['cut_choose'])!r}).read_text()); "
+              "print([verify_program(program, VerifyConfig(jobs=jobs)).verdict"
+              " for jobs in (1, 2)])")
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-X", "dev", "-c", script],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['valid', 'valid']"
+    assert "ResourceWarning" not in run.stderr, run.stderr
 
 
 def test_model_parsing_variants():
