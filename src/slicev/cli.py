@@ -277,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "replayable counterexample")
     common(p)
     p.add_argument("--solver", default=None,
-                   help="external solver command (default: z3/cvc5 if "
-                        "available, else the bundled slicev-smt)")
+                   help="solver command (default: z3/cvc5 if available, "
+                        "else the bundled slicev-smt, run in process)")
     p.add_argument("--timeout", type=float, default=60.0,
                    help="per-query timeout in seconds")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")

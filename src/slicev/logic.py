@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -511,8 +512,9 @@ class Replacement:
         if self.order[0] != ZERO_KEY or self.order[-1] != ONE_KEY:
             raise LogicError("replacement must run from 0 to 1")
 
-    @property
+    @cached_property
     def positions(self) -> dict:
+        """Each element's index in `order`, computed once per replacement."""
         return {e: i for i, e in enumerate(self.order)}
 
     def describe(self) -> str:

@@ -1,14 +1,17 @@
 """SMT-LIB2 front end for the bundled exact LRA engine.
 
 `slicev-smt` reads commands from stdin and answers `check-sat` and
-`get-model` like any external solver would, so the verification driver can
-treat it exactly like z3/cvc5 run with `-in`.  Only the QF_LRA fragment the
-pipeline emits is supported; anything else is reported as an error line.
+`get-model` like any external solver would, so it can stand in for z3/cvc5
+run with `-in`.  The verifier runs the same parser and search in its own
+process when its solver command is the bundled one.  Only the QF_LRA
+fragment the pipeline emits is supported; anything else is reported as an
+error line.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -133,6 +136,15 @@ class SolverState:
         for frame in self.frames:
             out.extend(frame)
         return out
+
+    def check_sat(self, deadline: Optional[float] = None) -> str:
+        """Decide the assertions of every frame and keep the model, if any,
+        for `get-model`; past the `time.monotonic()` `deadline` the search
+        raises `TimeoutError`."""
+        names = sorted(set().union(*self.declared))
+        verdict, self.last_model = check_assertions(
+            names, self.all_assertions(), deadline)
+        return verdict
 
     def push(self, n: int) -> None:
         for _ in range(n):
@@ -273,7 +285,8 @@ def _nnf(f):
 class _Search:
     """DFS over disjunction branches with incremental bound assertion."""
 
-    def __init__(self, names: list[str]):
+    def __init__(self, names: list[str], deadline: Optional[float] = None):
+        self.deadline = deadline
         self.simplex = Simplex()
         self.vars = {name: self.simplex.new_var() for name in names}
         self.names = {idx: name for name, idx in self.vars.items()}
@@ -317,6 +330,8 @@ class _Search:
             self.simplex.assert_upper(x, Delta(c, 0))
 
     def solve(self, goals: list) -> bool:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise TimeoutError("search passed its deadline")
         self.simplex.push()
         try:
             ors = []
@@ -351,10 +366,11 @@ class _Search:
             return False
 
 
-def check_assertions(names: list[str], assertions: list
+def check_assertions(names: list[str], assertions: list,
+                     deadline: Optional[float] = None
                      ) -> tuple[str, Optional[dict]]:
     goals = [_nnf(a) for a in assertions]
-    search = _Search(names)
+    search = _Search(names, deadline)
     if search.solve(goals):
         return "sat", search.model
     return "unsat", None
@@ -395,10 +411,7 @@ def run_command(state: SolverState, cmd: Sexpr, out) -> bool:
         state.last_model = None
         return True
     if head == "check-sat":
-        names = sorted(set().union(*state.declared))
-        verdict, model = check_assertions(names, state.all_assertions())
-        state.last_model = model
-        print(verdict, file=out, flush=True)
+        print(state.check_sat(), file=out, flush=True)
         return True
     if head == "get-model":
         if state.last_model is None:

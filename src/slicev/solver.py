@@ -1,4 +1,4 @@
-"""SMT-LIB2 emission, external solver orchestration, and the verify loop.
+"""SMT-LIB2 emission, the two solver backends, and the verify loop.
 
 Every (path, replacement) pair becomes one negation query: the constraint
 and side formula are asserted together with the negated envy goal, so
@@ -6,6 +6,13 @@ and side formula are asserted together with the negated envy goal, so
 turned into a concrete piecewise-uniform valuation set and replayed through
 the interpreter; a counterexample is only reported once the replay
 reproduces an exact envy violation.
+
+Every query is SMT-LIB2 text, whichever backend answers it.  When the
+solver command is exactly the bundled one, `BUNDLED_SOLVER`, the text goes
+through `slicev.smtlib` in this process (`BundledSolver`) and the answer
+and model come back as values; any other command (z3, cvc5, or the bundled
+solver named any other way) runs as a child process over pipes
+(`SolverProcess`).  `check_query` asks either.
 """
 
 from __future__ import annotations
@@ -125,8 +132,12 @@ def write_query(directory: str, index: int, s: Replacement, vc: VC,
 
 
 # ---------------------------------------------------------------------------
-# External solver process
+# Solver backends
 # ---------------------------------------------------------------------------
+
+# The bundled solver's command; `start_solver` runs it in this process.
+BUNDLED_SOLVER = [sys.executable, "-m", "slicev.smtlib"]
+
 
 def default_solver_command() -> list[str]:
     env = os.environ.get("SLICEV_SOLVER")
@@ -136,11 +147,44 @@ def default_solver_command() -> list[str]:
         return ["z3", "-in"]
     if shutil.which("cvc5"):
         return ["cvc5", "--incremental", "--produce-models", "--lang", "smt2"]
-    return [sys.executable, "-m", "slicev.smtlib"]
+    return list(BUNDLED_SOLVER)
+
+
+class BundledSolver:
+    """The bundled solver inside this process: each query's text goes
+    through the parser and search `slicev-smt` runs, from a fresh
+    `SolverState`, so a failed query leaves nothing behind."""
+
+    def __init__(self, timeout: float = 60.0):
+        self.timeout = timeout
+
+    def check(self, query: str) -> tuple[str, Optional[dict]]:
+        from . import smtlib   # kept out of `import slicev`
+        deadline = time.monotonic() + self.timeout
+        state = smtlib.SolverState()
+        answer = None
+        try:
+            for cmd in smtlib.parse_sexprs(query):
+                if cmd == ["check-sat"]:
+                    answer = state.check_sat(deadline)
+                else:   # declarations and assertions print nothing
+                    smtlib.run_command(state, cmd, sys.stderr)
+            if answer is None:
+                raise SolverError("the query has no check-sat")
+        except TimeoutError:
+            return "timeout", None
+        except Exception as exc:
+            raise SolverDied(
+                f"bundled solver {' '.join(BUNDLED_SOLVER)!r} failed in "
+                f"process ({exc!r})") from exc
+        return answer, state.last_model
+
+    def close(self) -> None:
+        pass
 
 
 class SolverProcess:
-    """One external solver over stdin/stdout, used incrementally."""
+    """One solver child process over stdin/stdout, used incrementally."""
 
     def __init__(self, command: list[str], timeout: float = 60.0):
         self.command = command
@@ -229,6 +273,30 @@ class SolverProcess:
                         return out
             self._read_chunk()
 
+    def check(self, query: str) -> tuple[str, Optional[dict]]:
+        line = ""
+        try:
+            self.send("(push 1)\n" + query)
+            line = self.read_line()
+            if line not in ("sat", "unsat", "unknown"):
+                raise SolverError("not an answer")
+            model = None
+            if line == "sat":
+                self.send("(get-model)\n")
+                model = parse_model(self.read_sexpr())
+            self.send("(pop 1)\n")
+            return line, model
+        except TimeoutError:
+            self.restart()
+            return "timeout", None
+        except SolverError as exc:
+            reason = self.failure(line, exc)
+            self.restart()
+            raise SolverDied(reason) from exc
+
+
+Solver = Union[BundledSolver, SolverProcess]
+
 
 @dataclass
 class SolverVerdictUnknown:
@@ -253,30 +321,12 @@ def parse_model(text: str) -> dict[str, Fraction]:
     return out
 
 
-def check_query(proc: SolverProcess, query: str
-                ) -> tuple[str, Optional[dict]]:
-    """Run one query inside push/pop; returns (sat|unsat|unknown|timeout,
-    model).  A solver that exits, closes its pipes or prints anything else
-    in place of an answer raises `SolverDied`; it is restarted first."""
-    line = ""
-    try:
-        proc.send("(push 1)\n" + query)
-        line = proc.read_line()
-        if line not in ("sat", "unsat", "unknown"):
-            raise SolverError("not an answer")
-        model = None
-        if line == "sat":
-            proc.send("(get-model)\n")
-            model = parse_model(proc.read_sexpr())
-        proc.send("(pop 1)\n")
-        return line, model
-    except TimeoutError:
-        proc.restart()
-        return "timeout", None
-    except SolverError as exc:
-        reason = proc.failure(line, exc)
-        proc.restart()
-        raise SolverDied(reason) from exc
+def check_query(proc: Solver, query: str) -> tuple[str, Optional[dict]]:
+    """Decide one query's SMT-LIB2 text; returns (sat|unsat|unknown|timeout,
+    model).  A solver process that exits, closes its pipes or prints
+    anything else in place of an answer, or an exception inside the bundled
+    solver, raises `SolverDied`; the next query starts afresh."""
+    return proc.check(query)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +428,15 @@ class VerifyConfig:
         return self.solver if self.solver else default_solver_command()
 
 
+def start_solver(config: VerifyConfig) -> Solver:
+    """The bundled solver command runs in this process, any other command
+    as a child process."""
+    command = config.command()
+    if command == BUNDLED_SOLVER:
+        return BundledSolver(config.timeout)
+    return SolverProcess(command, config.timeout)
+
+
 @dataclass
 class VerifyStats:
     paths: int = 0
@@ -419,7 +478,7 @@ def path_replacements(tr: Translated, prune: bool
 Outcome = Optional[Union[Counterexample, SolverVerdictUnknown]]
 
 
-def _check_path(proc: SolverProcess, path: Path, n_agents: int,
+def _check_path(proc: Solver, path: Path, n_agents: int,
                 config: VerifyConfig) -> tuple[Outcome, VerifyStats]:
     stats = VerifyStats(paths=1)
     t0 = time.monotonic()
@@ -488,7 +547,7 @@ def _check_in_worker(path: Path) -> tuple[Outcome, VerifyStats]:
         return None, VerifyStats()
     if _proc is None:
         from multiprocessing.util import Finalize
-        _proc = SolverProcess(config.command(), config.timeout)
+        _proc = start_solver(config)
         Finalize(None, _proc.close, exitpriority=0)
     return _check_path(_proc, path, n_agents, config)
 
@@ -506,7 +565,7 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
             + "; ".join(v.message for v in violations))
     paths = enumerate_paths(program.body)
     if config.jobs <= 1:
-        proc = SolverProcess(config.command(), config.timeout)
+        proc = start_solver(config)
         try:
             return _collect((_check_path(proc, path, program.agents, config)
                              for path in paths), config.exhaustive)

@@ -13,10 +13,12 @@ from slicev.logic import (
     ValT, YVar, ZVar, build_vc, replacement_from_permutation, translate,
 )
 from slicev.paths import enumerate_paths
+from slicev import smtlib
 from slicev.solver import (
-    Counterexample, SolverError, SolverProcess, VerifyConfig, check_query,
-    default_solver_command, emit_smt, extract_valuation_set, parse_model,
-    replay_counterexample, smt_name, verify_program,
+    BundledSolver, Counterexample, SolverError, SolverProcess, VerifyConfig,
+    check_query, default_solver_command, emit_smt, extract_valuation_set,
+    parse_model, replay_counterexample, smt_name, start_solver,
+    verify_program,
 )
 from slicev.syntax import parse
 
@@ -24,7 +26,10 @@ from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, REPO, load, load_source
 
 F = Fraction
 
+# The bundled solver runs in process under its own command and as a child
+# process under any other.
 BUNDLED = [sys.executable, "-m", "slicev.smtlib"]
+SUBPROCESS = [sys.executable, "-u", "-m", "slicev.smtlib"]
 
 
 def cut_choose_vc(programs):
@@ -73,25 +78,32 @@ def test_variable_naming_deterministic():
 # -- solver process ---------------------------------------------------------------
 
 def test_check_query_trivial_mappings():
-    proc = SolverProcess(BUNDLED, timeout=20)
-    try:
-        verdict, model = check_query(proc, "(assert false)\n(check-sat)\n")
-        assert verdict == "unsat" and model is None
-        verdict, model = check_query(
-            proc, "(declare-const q Real)\n(assert (= q (/ 1 3)))\n(check-sat)\n")
-        assert verdict == "sat" and model == {"q": F(1, 3)}
-    finally:
-        proc.close()
+    for command, backend in ((BUNDLED, BundledSolver),
+                             (SUBPROCESS, SolverProcess)):
+        proc = start_solver(VerifyConfig(solver=command, timeout=20))
+        assert type(proc) is backend
+        try:
+            verdict, model = check_query(proc, "(assert false)\n(check-sat)\n")
+            assert verdict == "unsat" and model is None
+            verdict, model = check_query(
+                proc, "(declare-const q Real)\n(assert (= q (/ 1 3)))\n"
+                "(declare-const r Real)\n(assert (= r (- q 1)))\n(check-sat)\n")
+            assert verdict == "sat" and model == {"q": F(1, 3), "r": F(-2, 3)}
+            assert all(type(v) is F for v in model.values())
+        finally:
+            proc.close()
 
 
 def test_true_implication_is_valid(programs):
     # assert the negation of (true => true): solver must answer unsat
-    proc = SolverProcess(BUNDLED, timeout=20)
-    try:
-        verdict, _ = check_query(proc, "(assert (not (=> true true)))\n(check-sat)\n")
-        assert verdict == "unsat"
-    finally:
-        proc.close()
+    for command in (BUNDLED, SUBPROCESS):
+        proc = start_solver(VerifyConfig(solver=command, timeout=20))
+        try:
+            verdict, _ = check_query(
+                proc, "(assert (not (=> true true)))\n(check-sat)\n")
+            assert verdict == "unsat"
+        finally:
+            proc.close()
 
 
 def test_timeout_maps_to_unknown():
@@ -103,6 +115,56 @@ def test_timeout_maps_to_unknown():
         assert verdict == "timeout" and model is None
     finally:
         proc.close()
+
+
+def test_bundled_timeout_gives_unknown(programs):
+    # a zero timeout: the in-process search is past its deadline at once
+    for jobs in (1, 2):
+        res = verify_program(programs["cut_choose"],
+                             VerifyConfig(solver=BUNDLED, timeout=0, jobs=jobs))
+        assert res.verdict == "unknown"
+        (unknown,) = res.unknowns
+        assert "solver answered timeout" in unknown.reason
+
+
+def test_failing_bundled_solver_gives_unknown(programs, monkeypatch, capfd):
+    def broken(*args):
+        raise RuntimeError("search broke")
+
+    monkeypatch.setattr(smtlib, "check_assertions", broken)
+    for jobs in (1, 2):   # pool workers fork after the patch
+        res = verify_program(programs["cut_choose"],
+                             VerifyConfig(solver=BUNDLED, jobs=jobs))
+        assert res.verdict == "unknown"
+        (unknown,) = res.unknowns
+        assert f"bundled solver {' '.join(BUNDLED)!r}" in unknown.reason
+        assert "RuntimeError('search broke')" in unknown.reason
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_bundled_solver_answers_after_a_failed_query(bad_programs,
+                                                     monkeypatch):
+    program = bad_programs["cut_choose_swapped_branch"]
+    config = VerifyConfig(solver=BUNDLED, exhaustive=True)
+    expected = verify_program(program, config)
+    assert expected.stats.queries > 1 and expected.counterexamples
+    check = smtlib.check_assertions
+    calls = []
+
+    def first_fails(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ValueError("first query broke")
+        return check(*args)
+
+    monkeypatch.setattr(smtlib, "check_assertions", first_fails)
+    res = verify_program(program, config)
+    (unknown,) = res.unknowns
+    assert unknown.path_index == 0 and "first query broke" in unknown.reason
+    assert res.stats.queries == expected.stats.queries == len(calls)
+    assert ([c.to_json() for c in res.counterexamples]
+            == [c.to_json() for c in expected.counterexamples
+                if c.path_index != 0])
 
 
 def test_crashed_solver_gives_unknown_with_reason(programs):
@@ -265,6 +327,19 @@ def test_parallel_matches_sequential():
             source=source if with_source else None) for jobs in (1, 2))
         assert seq.verdict == "invalid", name
         assert outcome(par) == outcome(seq), name
+
+
+def test_in_process_matches_subprocess():
+    files = {**BAD_PROTOCOLS, **GOOD_PROTOCOLS}
+    names = [*sorted(BAD_PROTOCOLS), "cut_choose", "surplus",
+             "waste_makes_haste3", "selfridge_conway_surplus"]
+    for name in names:
+        program = load(files[name])
+        for jobs in (1, 2):
+            in_process, child = (outcome(verify_program(
+                program, VerifyConfig(solver=command, jobs=jobs)))
+                for command in (BUNDLED, SUBPROCESS))
+            assert in_process == child, (name, jobs)
 
 
 def test_early_stop_leaves_no_solver_running(tmp_path):

@@ -3,8 +3,13 @@ by name and silently leaves out the metrics of a name it cannot find, so a
 rename or deletion here would drop per-layer metrics without any error."""
 
 import importlib.util
+import io
+import sys
 
-from conftest import REPO
+from slicev import smtlib, solver
+from slicev.solver import VerifyConfig, verify_program
+
+from conftest import BAD_PROTOCOLS, REPO, load
 
 # What `tracing.replay_queries` looks up besides `Tracer.TARGETS`.
 REPLAYED = ("smtlib.SolverState", "smtlib.parse_sexprs", "smtlib.run_command",
@@ -27,3 +32,30 @@ def test_tracer_finds_every_function_it_wraps():
     assert names
     missing = [n for n in [*names, *REPLAYED] if tracing._resolve(n) is None]
     assert missing == []
+
+
+def test_check_query_receives_each_query_text(monkeypatch):
+    # The tracer records `args[1]` of every `check_query` call and replays
+    # those texts through `smtlib` for its solver metrics, as below.
+    program = load(BAD_PROTOCOLS["cut_choose_cutter_chooses"])
+    check = solver.check_query
+    for command in ([sys.executable, "-m", "slicev.smtlib"],
+                    [sys.executable, "-u", "-m", "slicev.smtlib"]):
+        recorded = []
+
+        def recording(*args):
+            result = check(*args)
+            recorded.append((args[1], result[0]))
+            return result
+
+        monkeypatch.setattr(solver, "check_query", recording)
+        res = verify_program(program, VerifyConfig(solver=command))
+        assert res.verdict == "invalid"
+        assert len(recorded) == res.stats.queries > 0
+        state, out = smtlib.SolverState(), io.StringIO()
+        for text, answer in recorded:
+            assert isinstance(text, str)
+            for cmd in smtlib.parse_sexprs("(push 1)\n" + text):
+                smtlib.run_command(state, cmd, out)
+            assert out.getvalue().split()[-1] == answer
+            smtlib.run_command(state, ["pop", "1"], out)
