@@ -2,7 +2,7 @@
 
 Subcommands: typecheck, paths, compile, verify, simulate, replay.  Exit
 codes: 0 success, 1 violations or a confirmed envy counterexample, 2
-unknown/solver trouble, 64 usage errors.
+unknown/solver trouble, 64 usage errors, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_INTERRUPTED = 130    # 128 + SIGINT, as a shell reports Ctrl-C
 
 
 def _rs(x: Fraction) -> str:
@@ -324,6 +325,9 @@ def main(argv=None) -> int:
     except SliceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

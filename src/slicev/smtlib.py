@@ -10,41 +10,24 @@ error line.
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .lra import Delta, Infeasible, Simplex
 
 Sexpr = Union[str, list]
 
 
-def tokenize_sexprs(text: str) -> Iterator[str]:
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "() ":
-            if ch != " ":
-                yield ch
-            i += 1
-        elif ch in "\t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < len(text) and text[j] != '"':
-                j += 1
-            yield text[i:j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in "() \t\r\n;":
-                j += 1
-            yield text[i:j]
-            i = j
+# A token is a parenthesis, a string literal (its quotes included) or a
+# symbol; blanks and `;` comments, which match with an empty group, are not.
+_TOKEN = re.compile(r';[^\n]*|([()]|"[^"]*"?|[^() \t\r\n;"][^() \t\r\n;]*)')
+
+
+def tokenize_sexprs(text: str) -> list[str]:
+    return [tok for tok in _TOKEN.findall(text) if tok]
 
 
 def parse_sexprs(text: str) -> list[Sexpr]:
@@ -87,21 +70,34 @@ def read_balanced(stream) -> Optional[str]:
             return "".join(out)
 
 
-def parse_rational(s: Sexpr) -> Optional[Fraction]:
+def _exact(s: Sexpr) -> Union[int, Fraction, None]:
+    """`parse_rational`, with plain numerals kept as `int`."""
     if isinstance(s, str):
+        if s.isdigit() and s.isascii():
+            return int(s)
+        head = s[:1]
+        # `Fraction` reads only strings that start with a sign, a point, a
+        # digit or white space: anything else, such as a name, is no number
+        if not (head in "+-." or head.isdecimal() or head.isspace()):
+            return None
         try:
             return Fraction(s)
         except ValueError:
             return None
     if len(s) == 3 and s[0] == "/":
-        a, b = parse_rational(s[1]), parse_rational(s[2])
+        a, b = _exact(s[1]), _exact(s[2])
         if a is not None and b is not None:
-            return a / b
+            return Fraction(a, b)
     if len(s) == 2 and s[0] == "-":
-        a = parse_rational(s[1])
+        a = _exact(s[1])
         if a is not None:
             return -a
     return None
+
+
+def parse_rational(s: Sexpr) -> Optional[Fraction]:
+    r = _exact(s)
+    return None if r is None else Fraction(r)
 
 
 def format_rational(x: Fraction) -> str:
@@ -162,57 +158,69 @@ class SolverState:
 
     def linear(self, s: Sexpr) -> tuple[dict, Fraction]:
         """Parse a term into (coefficients, constant)."""
-        r = parse_rational(s)
-        if r is not None:
-            return {}, r
+        coeffs: dict = {}
+        const = self._add_linear(s, 1, coeffs)
+        return ({v: Fraction(x) for v, x in coeffs.items()}, Fraction(const))
+
+    def _add_linear(self, s: Sexpr, scale, coeffs: dict):
+        """Add `scale` times the variable part of term `s` into `coeffs`,
+        in one pass over `s`, and return `scale` times its constant part.
+        Numbers are exact: `int` where they can be, otherwise `Fraction`."""
         if isinstance(s, str):
+            r = _exact(s)
+            if r is not None:
+                return scale * r
             if not self.is_declared(s):
                 raise ValueError(f"unknown constant {s!r}")
-            return {s: Fraction(1)}, Fraction(0)
+            c = coeffs.get(s)
+            coeffs[s] = scale if c is None else c + scale
+            return 0
         head = s[0]
         if head == "+":
-            coeffs: dict = {}
-            const = Fraction(0)
+            const = 0
             for part in s[1:]:
-                c, k = self.linear(part)
-                const += k
-                for v, x in c.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) + x
-            return coeffs, const
+                const += self._add_linear(part, scale, coeffs)
+            return const
         if head == "-":
             if len(s) == 2:
-                c, k = self.linear(s[1])
-                return {v: -x for v, x in c.items()}, -k
-            coeffs, const = self.linear(s[1])
-            coeffs = dict(coeffs)
+                return self._add_linear(s[1], -scale, coeffs)
+            const = self._add_linear(s[1], scale, coeffs)
             for part in s[2:]:
-                c, k = self.linear(part)
-                const -= k
-                for v, x in c.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) - x
-            return coeffs, const
+                const += self._add_linear(part, -scale, coeffs)
+            return const
         if head == "*":
-            parts = [self.linear(p) for p in s[1:]]
-            consts = [p for p in parts if not p[0]]
-            lins = [p for p in parts if p[0]]
+            factor, terms = scale, []
+            for part in s[1:]:
+                r = _exact(part)
+                if r is None:
+                    terms.append(part)
+                else:
+                    factor *= r
+            if len(terms) == 1:     # numerals times one term: no copy
+                return self._add_linear(terms[0], factor, coeffs)
+            # Lowered on their own, all but one of the other factors must
+            # turn out constant, such as (+ 1 2).
+            lins = []
+            for part in terms:
+                sub: dict = {}
+                k = self._add_linear(part, 1, sub)
+                if sub:
+                    lins.append(part)
+                else:
+                    factor *= k
             if len(lins) > 1:
                 raise ValueError("non-linear multiplication")
-            scale = Fraction(1)
-            for _c, k in consts:
-                scale *= k
             if not lins:
-                return {}, scale
-            c, k = lins[0]
-            return {v: x * scale for v, x in c.items()}, k * scale
+                return factor
+            return self._add_linear(lins[0], factor, coeffs)
         if head == "/":
-            c, k = self.linear(s[1])
-            divisors = [parse_rational(p) for p in s[2:]]
+            divisors = [_exact(p) for p in s[2:]]
             if any(d is None or d == 0 for d in divisors):
+                self._add_linear(s[1], 1, {})   # its own errors come first
                 raise ValueError("division by a non-constant")
             for d in divisors:
-                k /= d
-                c = {v: x / d for v, x in c.items()}
-            return c, k
+                scale = Fraction(scale, d)
+            return self._add_linear(s[1], scale, coeffs)
         raise ValueError(f"unsupported term {s!r}")
 
     def formula(self, s: Sexpr):
@@ -233,17 +241,15 @@ class SolverState:
                 f = ("or", [("not", f), self.formula(part)])
             return f
         if head in ("<=", "<", ">=", ">", "="):
-            cl, kl = self.linear(s[1])
-            cr, kr = self.linear(s[2])
-            coeffs = dict(cl)
-            for v, x in cr.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) - x
-            coeffs = {v: x for v, x in coeffs.items() if x != 0}
-            const = kr - kl
-            # coeffs . vars  head  const
+            # both sides into one dict:  coeffs . vars  head  const
+            coeffs: dict = {}
+            const = -self._add_linear(s[1], 1, coeffs)
+            const -= self._add_linear(s[2], -1, coeffs)
             if len(s) > 3:
                 raise ValueError("chained comparisons unsupported")
-            return ("atom", head, coeffs, const)
+            return ("atom", head,
+                    {v: Fraction(x) for v, x in coeffs.items() if x},
+                    Fraction(const))
         raise ValueError(f"unsupported formula {s!r}")
 
 

@@ -116,3 +116,14 @@ def test_broken_solver_command_exits_two(capsys):
                      "definitely-no-such-solver-binary", "--jobs", jobs])
         assert code == 2
         assert "cannot start solver" in capsys.readouterr().err
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted(_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("slicev.cli.cmd_verify", interrupted)
+    assert main(["verify", CC, "--solver", BUNDLED]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out == ""

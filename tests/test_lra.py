@@ -8,7 +8,7 @@ import pytest
 from slicev.lra import Delta, Infeasible, Simplex
 from slicev.smtlib import (
     SolverState, check_assertions, format_rational, parse_rational,
-    parse_sexprs, run_command,
+    parse_sexprs, run_command, tokenize_sexprs,
 )
 
 F = Fraction
@@ -136,11 +136,88 @@ def test_rational_formatting():
     assert format_rational(F(5)) == "5"
     assert parse_rational(parse_sexprs("(- (/ 3 4))")[0]) == F(-3, 4)
     assert parse_rational("0.5") == F(1, 2)
+    assert parse_rational("-1e-2") == F(-1, 100)
+    assert parse_rational("\u0663") == F(3)        # a decimal digit, as for Fraction
+    assert parse_rational("y0") is None and parse_rational("-y") is None
 
 
 def test_unsupported_command_reports_error():
     got = run_script("(maximize x)")
     assert got.startswith("(error")
+
+
+# -- term and atom lowering -----------------------------------------------------
+
+# term -> (coefficients, constant), as the recursive lowering that copied
+# each child's dict gave them; a zero coefficient is kept until `formula`
+LINEAR = {
+    "(* 2 3 x)": ({"x": F(6)}, F(0)),
+    "(* (+ 1 2) x)": ({"x": F(3)}, F(0)),
+    "(* 2 (+ 1 2) (- (* 3 x) y) (/ 1 2))": ({"x": F(9), "y": F(-3)}, F(0)),
+    "(* (+ x 1) 2)": ({"x": F(2)}, F(2)),
+    "(* 0 x)": ({"x": F(0)}, F(0)),
+    "(+ x (- x))": ({"x": F(0)}, F(0)),
+    "(- x)": ({"x": F(-1)}, F(0)),
+    "(- x y z)": ({"x": F(1), "y": F(-1), "z": F(-1)}, F(0)),
+    "(- 3 (* 2 x) (- y))": ({"x": F(-2), "y": F(1)}, F(3)),
+    "(/ x 2)": ({"x": F(1, 2)}, F(0)),
+    "(/ (- 3) 4)": ({}, F(-3, 4)),
+    "0.5": ({}, F(1, 2)),
+    "(+)": ({}, F(0)),
+}
+
+LINEAR_ERRORS = {
+    "(* x y)": "non-linear multiplication",
+    "(/ x y)": "division by a non-constant",
+    "(/ x 0)": "division by a non-constant",
+    "w": "unknown constant 'w'",
+    "(/ w y)": "unknown constant 'w'",
+    "(/ 1 0)": "division by a non-constant",
+}
+
+FORMULAS = {
+    "(<= (+ x 1) (* 2 y))": ("atom", "<=", {"x": F(1), "y": F(-2)}, F(-1)),
+    "(= x x)": ("atom", "=", {}, F(0)),
+    "(> (- x) 0.5)": ("atom", ">", {"x": F(-1)}, F(1, 2)),
+    "(=> (>= x 0) (< y 1))": (
+        "or", [("not", ("atom", ">=", {"x": F(1)}, F(0))),
+               ("atom", "<", {"y": F(1)}, F(1))]),
+}
+
+
+def xyz_state() -> SolverState:
+    state = SolverState()
+    for name in "xyz":
+        state.declare(name)
+    return state
+
+
+@pytest.mark.parametrize("text", sorted(LINEAR))
+def test_linear_lowering(text):
+    (term,) = parse_sexprs(text)
+    coeffs, const = xyz_state().linear(term)
+    assert (coeffs, const) == LINEAR[text]
+    assert list(coeffs) == list(LINEAR[text][0])      # first-seen order
+    assert all(type(c) is F for c in [*coeffs.values(), const])
+
+
+@pytest.mark.parametrize("text", sorted(LINEAR_ERRORS))
+def test_linear_lowering_errors(text):
+    (term,) = parse_sexprs(text)
+    with pytest.raises(ValueError, match=LINEAR_ERRORS[text]):
+        xyz_state().linear(term)
+
+
+@pytest.mark.parametrize("text", sorted(FORMULAS))
+def test_formula_lowering(text):
+    (sexpr,) = parse_sexprs(text)
+    assert xyz_state().formula(sexpr) == FORMULAS[text]
+
+
+def test_tokenizer_keeps_strings_and_drops_comments():
+    text = '(echo "a (b" ) ; (not a token\n x\t-1.5;c\r\nab"c "open'
+    assert list(tokenize_sexprs(text)) == [
+        "(", "echo", '"a (b"', ")", "x", "-1.5", 'ab"c', '"open']
 
 
 # -- randomized cross-check against substitution and a grid oracle -----------------

@@ -5,8 +5,9 @@ rename or deletion here would drop per-layer metrics without any error."""
 import importlib.util
 import io
 import sys
+from fractions import Fraction
 
-from slicev import smtlib, solver
+from slicev import lra, smtlib, solver
 from slicev.solver import VerifyConfig, verify_program
 
 from conftest import BAD_PROTOCOLS, REPO, load
@@ -32,6 +33,17 @@ def test_tracer_finds_every_function_it_wraps():
     assert names
     missing = [n for n in [*names, *REPLAYED] if tracing._resolve(n) is None]
     assert missing == []
+
+
+def test_simplex_exposes_its_slack_rows():
+    # `replay_queries` counts `lra.slack_rows` as the growth of
+    # `len(getattr(simplex, "slack_by_form", ()))`, so a rename would
+    # report 0 slack rows instead of failing.
+    simplex = lra.Simplex()
+    x, y = simplex.new_var(), simplex.new_var()
+    assert simplex.slack_by_form == {}
+    simplex.slack_for({x: Fraction(1), y: Fraction(-1)})
+    assert len(simplex.slack_by_form) == 1
 
 
 def test_check_query_receives_each_query_text(monkeypatch):
