@@ -25,8 +25,8 @@ from .solver import (
 from .syntax import Program, parse, pretty
 from .typecheck import check_wellformed, typecheck
 from .valuation import (
-    PUValuation, ValuationSet, load_valuation_set, valuation_set_to_json,
-    val_eval,
+    PUValuation, ValuationSet, val_eval, valuation_set_from_json,
+    valuation_set_to_json,
 )
 
 EXIT_OK = 0
@@ -40,9 +40,31 @@ def _rs(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+class UsageError(Exception):
+    """An input the user has to fix; reported as one line, exit 64."""
+
+
 def load_program(path: str) -> Program:
     with open(path) as fh:
         return parse(fh.read())
+
+
+def load_json(path: str, from_json):
+    """`from_json` of a JSON file; a malformed file is a usage error."""
+    with open(path) as fh:
+        try:
+            return from_json(json.load(fh))
+        except (ValueError, LookupError, TypeError, AttributeError,
+                SliceError) as exc:
+            raise UsageError(f"malformed {path}: {exc!r}") from exc
+
+
+def witness_json(witness):
+    """An envy witness as JSON, exact values as `p/q` strings."""
+    return None if witness is None else {
+        "envious": witness.envious, "envied": witness.envied,
+        "own_value": _rs(witness.own_value),
+        "other_value": _rs(witness.other_value)}
 
 
 def random_pu_set(n_agents: int, rng: random.Random) -> ValuationSet:
@@ -179,8 +201,7 @@ def cmd_simulate(args) -> int:
             print(f"{args.file}: {v.code}: {v.message}", file=sys.stderr)
         return EXIT_VIOLATION
     if args.valuations:
-        with open(args.valuations) as fh:
-            vs = load_valuation_set(fh.read())
+        vs = load_json(args.valuations, valuation_set_from_json)
         if vs.n_agents != program.agents:
             print("valuation set has the wrong number of agents",
                   file=sys.stderr)
@@ -200,10 +221,7 @@ def cmd_simulate(args) -> int:
             "values": {str(a): [_rs(v) for v in row]
                        for a, row in values.items()},
             "envy_free": ok,
-            "witness": None if ok else {
-                "envious": witness.envious, "envied": witness.envied,
-                "own_value": _rs(witness.own_value),
-                "other_value": _rs(witness.other_value)},
+            "witness": witness_json(witness),
             "marks": {str(k): _rs(v)
                       for k, v in sorted(run.trace.mark_answers.items())},
             "valuations": valuation_set_to_json(vs),
@@ -218,8 +236,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_replay(args) -> int:
     program = load_program(args.file)
-    with open(args.counterexample) as fh:
-        stored = Counterexample.from_json(json.load(fh))
+    stored = load_json(args.counterexample, Counterexample.from_json)
     try:
         alloc, witness = replay_counterexample(program, stored)
     except SliceError as exc:
@@ -230,10 +247,7 @@ def cmd_replay(args) -> int:
             "file": args.file,
             "allocation": [str(p) for p in alloc.items],
             "envy_confirmed": witness is not None,
-            "witness": None if witness is None else {
-                "envious": witness.envious, "envied": witness.envied,
-                "own_value": _rs(witness.own_value),
-                "other_value": _rs(witness.other_value)},
+            "witness": witness_json(witness),
         }, indent=2))
     else:
         print(f"allocation: {alloc}")
@@ -316,7 +330,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

@@ -1,5 +1,9 @@
 """Big-step evaluator for Slice with runtime envy and disjointness checks.
 
+`Walk` is the one walk over expressions.  The evaluator (`_Evaluator`) is
+its value domain and the path translator (`logic._Translator`) its term
+domain.
+
 Evaluation keeps valuation values symbolic (sums of coeff * V_a(piece)) and
 only compares them numerically when an operator demands it.  Mark queries
 answer with the leftmost satisfying point unless a replay table pins the
@@ -77,141 +81,159 @@ def vltn_value(vs: ValuationSet, v: VltnVal) -> Fraction:
     return total
 
 
-def _is_affine_value(v: Value) -> bool:
-    return isinstance(v, (IntervalVal, PieceVal, TupleVal))
+class Walk:
+    """The big-step walk over Slice expressions, written once.
+
+    It decides variable lookup (`@x` is `read` of `x`), split binding, the
+    order of `if` and `assert`, left-to-right evaluation of children, and
+    records the mark ids it reaches in pre-order.  A domain's hooks give the
+    rest: `lit`, `read`, `tuple` (tuples and pieces), `split` (the binders'
+    components), `branch` (is `then` taken?), `assume` (the guard comes as
+    a thunk), `op`, `divide`, `mark` and `valuation`.
+    """
+
+    def __init__(self):
+        self.mark_ids: list = []
+
+    def lit(self, v: Value):
+        return v
+
+    def read(self, x):
+        return x
+
+    def eval(self, e: Expr, env: dict):
+        if isinstance(e, (Var, AffVar, ReadVar)):
+            if e.name not in env:
+                at = "@" if isinstance(e, ReadVar) else ""
+                raise SliceError(f"unbound variable {at}{e.name}")
+            v = env[e.name]
+            return self.read(v) if isinstance(e, ReadVar) else v
+        if isinstance(e, Lit):
+            return self.lit(e.value)
+        if isinstance(e, Op):
+            return self.op(e, [self.eval(a, env) for a in e.args])
+        if isinstance(e, EvalQ):
+            return self.valuation(e, self.eval(e.arg, env))
+        if isinstance(e, Split):
+            comps = self.split(e, self.eval(e.scrutinee, env))
+            if len(comps) != len(e.binders):
+                raise SliceError(f"split arity mismatch: {len(e.binders)} "
+                                 f"binders, {len(comps)} components")
+            return self.eval(e.body, {**env, **dict(zip(e.binders, comps))})
+        if isinstance(e, AssertE):
+            self.assume(lambda: self.eval(e.guard, env))
+            return self.eval(e.body, env)
+        if isinstance(e, If):
+            taken = self.branch(e, self.eval(e.guard, env))
+            return self.eval(e.then if taken else e.els, env)
+        if isinstance(e, Mark):
+            self.mark_ids.append(e.mark_id)
+            return self.mark(e, self.eval(e.interval, env),
+                             self.eval(e.target, env))
+        if isinstance(e, Divide):
+            return self.divide(self.eval(e.interval, env),
+                               self.eval(e.point, env))
+        if isinstance(e, (TupleE, PieceE)):
+            return self.tuple(e, [self.eval(item, env) for item in e.items])
+        if isinstance(e, Cake):
+            return self.lit(IntervalVal(Fraction(0), Fraction(1)))
+        raise SliceError(f"unhandled expression {e!r}")
 
 
-class _Evaluator:
+class _Evaluator(Walk):
     def __init__(self, vs: ValuationSet, replay: Optional[dict]):
+        super().__init__()
         self.vs = vs
         self.replay = replay
         self.trace = EvalTrace()
 
     def eval(self, e: Expr, env: dict) -> Value:
-        v = self._eval(e, env)
+        v = super().eval(e, env)
         self.trace.collect(v)
         return v
 
-    def _eval(self, e: Expr, env: dict) -> Value:
-        if isinstance(e, Lit):
-            return e.value
-        if isinstance(e, (Var, AffVar)):
-            if e.name not in env:
-                raise SliceError(f"unbound variable {e.name!r} at runtime")
-            return env[e.name]
-        if isinstance(e, ReadVar):
-            key = "@" + e.name
-            if key not in env:
-                raise SliceError(f"unbound read-only variable @{e.name}")
-            return env[key]
-        if isinstance(e, Cake):
-            return IntervalVal(Fraction(0), Fraction(1))
-        if isinstance(e, TupleE):
-            return TupleVal(tuple(self.eval(item, env) for item in e.items))
-        if isinstance(e, Split):
-            scrut = self.eval(e.scrutinee, env)
-            comps = list(scrut.items) if isinstance(scrut, TupleVal) else [scrut]
-            if len(comps) != len(e.binders):
-                raise SliceError(
-                    f"split arity mismatch: {len(e.binders)} binders, "
-                    f"{len(comps)} components")
-            inner = dict(env)
-            for name, v in zip(e.binders, comps):
-                inner[name] = v
-                if _is_affine_value(v):
-                    inner["@" + name] = read(v)
-                else:
-                    inner.pop("@" + name, None)
-            return self.eval(e.body, inner)
-        if isinstance(e, If):
-            guard = self.eval(e.guard, env)
-            if not isinstance(guard, BoolVal):
-                raise SliceError("if-guard did not evaluate to a boolean")
-            self.trace.branches.append((e.if_id, guard.flag))
-            return self.eval(e.then if guard.flag else e.els, env)
-        if isinstance(e, AssertE):
-            guard = self.eval(e.guard, env)
-            if not isinstance(guard, BoolVal):
-                raise SliceError("assert-guard did not evaluate to a boolean")
-            if not guard.flag:
-                raise Stuck(ASSERT_FAILED)
-            return self.eval(e.body, env)
-        if isinstance(e, Op):
-            return self.eval_op(e, env)
-        if isinstance(e, Divide):
-            iv = self.eval(e.interval, env)
-            pt = self.eval(e.point, env)
-            if not (isinstance(iv, IntervalVal) and isinstance(pt, PointVal)):
-                raise SliceError("divide expects an interval and a point")
-            if not iv.lo <= pt.point <= iv.hi:
-                raise Stuck(DIVIDE_OUT_OF_RANGE,
-                            f"{pt.point} outside [{iv.lo}, {iv.hi}]")
-            return TupleVal((IntervalVal(iv.lo, pt.point),
-                             IntervalVal(pt.point, iv.hi)))
-        if isinstance(e, PieceE):
-            parts = []
-            for item in e.items:
-                v = self.eval(item, env)
-                if not isinstance(v, IntervalVal):
-                    raise SliceError("piece expects intervals")
-                parts.append(v)
-            return PieceVal(tuple(parts))
-        if isinstance(e, Mark):
-            iv = self.eval(e.interval, env)
-            if not (isinstance(iv, ReadOnlyVal)
-                    and isinstance(iv.inner, IntervalVal)):
-                raise SliceError("mark expects a read-only interval")
-            tv = self.eval(e.target, env)
-            if not isinstance(tv, VltnVal):
-                raise SliceError("mark target must be a valuation")
-            target = vltn_value(self.vs, tv)
-            lo, hi = iv.inner.lo, iv.inner.hi
-            agent_val = self.vs.agent(e.agent)
-            if self.replay is not None and e.mark_id in self.replay:
-                r = self.replay[e.mark_id]
-                if r < lo or agent_val.eval_interval(lo, r) != target:
-                    raise Stuck(MARK_REPLAY_MISMATCH,
-                                f"mark {e.mark_id}: V[{lo},{r}] != {target}")
-            else:
-                try:
-                    r = val_mark(agent_val, lo, hi, target)
-                except TargetExceedsValue as exc:
-                    raise Stuck(MARK_INFEASIBLE, str(exc)) from exc
-            self.trace.mark_answers[e.mark_id] = r
-            return PointVal(r)
-        if isinstance(e, EvalQ):
-            v = self.eval(e.arg, env)
-            if not (isinstance(v, ReadOnlyVal)
-                    and isinstance(v.inner, (IntervalVal, PieceVal))):
-                raise SliceError("eval expects a read-only interval or piece")
-            return VltnVal(((Fraction(1), e.agent, v.inner),))
-        raise SliceError(f"unhandled expression {e!r}")
+    def read(self, v: Value) -> Value:
+        return read(v)
 
-    def eval_op(self, e: Op, env: dict) -> Value:
-        args = [self.eval(a, env) for a in e.args]
-        op = e.op
-        if op in (OP_AND, OP_OR):
-            x, y = args
-            if op == OP_AND:
-                return BoolVal(x.flag and y.flag)
+    def tuple(self, e: Expr, items: list) -> Value:
+        if isinstance(e, TupleE):
+            return TupleVal(tuple(items))
+        if not all(isinstance(v, IntervalVal) for v in items):
+            raise SliceError("piece expects intervals")
+        return PieceVal(tuple(items))
+
+    def split(self, e: Split, v: Value) -> list:
+        return list(v.items) if isinstance(v, TupleVal) else [v]
+
+    def branch(self, e: If, guard: Value) -> bool:
+        if not isinstance(guard, BoolVal):
+            raise SliceError("if-guard did not evaluate to a boolean")
+        self.trace.branches.append((e.if_id, guard.flag))
+        return guard.flag
+
+    def assume(self, guard) -> None:
+        guard = guard()
+        if not isinstance(guard, BoolVal):
+            raise SliceError("assert-guard did not evaluate to a boolean")
+        if not guard.flag:
+            raise Stuck(ASSERT_FAILED)
+
+    def op(self, e: Op, args: list) -> Value:
+        op, x, y = e.op, args[0], args[-1]   # y is x for unary operators
+        if op == OP_AND:
+            return BoolVal(x.flag and y.flag)
+        if op == OP_OR:
             return BoolVal(x.flag or y.flag)
         if op == OP_NOT:
-            return BoolVal(not args[0].flag)
+            return BoolVal(not x.flag)
         if op == OP_GE:
-            x, y = args
             if isinstance(x, PointVal) and isinstance(y, PointVal):
                 return BoolVal(x.point >= y.point)
             return BoolVal(vltn_value(self.vs, x) >= vltn_value(self.vs, y))
         if op == OP_EQ:
-            x, y = args
             return BoolVal(vltn_value(self.vs, x) == vltn_value(self.vs, y))
         if op == OP_ADD:
-            x, y = args
             return VltnVal(x.terms + y.terms)
         if op == OP_SCALE:
-            (x,) = args
             return VltnVal(tuple((e.coeff * c, a, p) for c, a, p in x.terms))
         raise SliceError(f"unknown operator {op!r}")
+
+    def divide(self, iv: Value, pt: Value) -> Value:
+        if not (isinstance(iv, IntervalVal) and isinstance(pt, PointVal)):
+            raise SliceError("divide expects an interval and a point")
+        if not iv.lo <= pt.point <= iv.hi:
+            raise Stuck(DIVIDE_OUT_OF_RANGE,
+                        f"{pt.point} outside [{iv.lo}, {iv.hi}]")
+        return TupleVal((IntervalVal(iv.lo, pt.point),
+                         IntervalVal(pt.point, iv.hi)))
+
+    def mark(self, e: Mark, iv: Value, tv: Value) -> Value:
+        if not (isinstance(iv, ReadOnlyVal)
+                and isinstance(iv.inner, IntervalVal)):
+            raise SliceError("mark expects a read-only interval")
+        if not isinstance(tv, VltnVal):
+            raise SliceError("mark target must be a valuation")
+        target = vltn_value(self.vs, tv)
+        lo, hi = iv.inner.lo, iv.inner.hi
+        agent_val = self.vs.agent(e.agent)
+        if self.replay is not None and e.mark_id in self.replay:
+            r = self.replay[e.mark_id]
+            if r < lo or agent_val.eval_interval(lo, r) != target:
+                raise Stuck(MARK_REPLAY_MISMATCH,
+                            f"mark {e.mark_id}: V[{lo},{r}] != {target}")
+        else:
+            try:
+                r = val_mark(agent_val, lo, hi, target)
+            except TargetExceedsValue as exc:
+                raise Stuck(MARK_INFEASIBLE, str(exc)) from exc
+        self.trace.mark_answers[e.mark_id] = r
+        return PointVal(r)
+
+    def valuation(self, e: EvalQ, v: Value) -> Value:
+        if not (isinstance(v, ReadOnlyVal)
+                and isinstance(v.inner, (IntervalVal, PieceVal))):
+            raise SliceError("eval expects a read-only interval or piece")
+        return VltnVal(((Fraction(1), e.agent, v.inner),))
 
 
 def evaluate(e: Expr, vs: ValuationSet,
@@ -222,8 +244,7 @@ def evaluate(e: Expr, vs: ValuationSet,
     validated against the mark's equation before being used.
     """
     ev = _Evaluator(vs, replay)
-    value = ev.eval(e, {})
-    return RunResult(value, ev.trace)
+    return RunResult(ev.eval(e, {}), ev.trace)
 
 
 @dataclass(frozen=True)

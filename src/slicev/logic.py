@@ -17,10 +17,10 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
-    AssertE, AffVar, BoolVal, Cake, Divide, EvalQ, Expr, If, IntervalVal, Lit,
-    Mark, Op, PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError,
-    Split, TupleE, TupleVal, Value, Var, VltnVal,
+    BoolVal, EvalQ, Expr, If, IntervalVal, Mark, Op, PieceVal, PointVal,
+    ReadOnlyVal, SliceError, Split, TupleE, TupleVal, Value, VltnVal,
 )
+from .interp import Walk
 from .valuation import ValuationSet, val_eval
 
 
@@ -340,98 +340,69 @@ class Translated:
     mark_ids: tuple[int, ...]
 
 
+_OPS = {OP_AND: TAnd, OP_OR: TOr, OP_NOT: TNot, OP_GE: TGe, OP_EQ: TEq,
+        OP_ADD: AddT}
+
+
+class _Translator(Walk):
+    """The term domain of `interp.Walk`: each rule returns a reduced term
+    and appends its side conditions to `constraint`."""
+
+    lit = staticmethod(term_of_value)
+
+    def __init__(self):
+        super().__init__()
+        self.constraint: list[Formula] = []
+
+    def tuple(self, e: Expr, items: list) -> Term:
+        return (TupleT if isinstance(e, TupleE) else UnionT)(tuple(items))
+
+    def split(self, e: Split, t: Term) -> list:
+        n = len(e.binders)
+        return [t] if n == 1 else [proj(i, t) for i in range(1, n + 1)]
+
+    def branch(self, e: If, guard: Term) -> bool:
+        raise LogicError("if-expression inside a path")
+
+    def assume(self, guard) -> None:
+        at = len(self.constraint)   # before the guard's side conditions
+        self.constraint.insert(at, _lift(guard()))
+
+    def op(self, e: Op, args: list) -> Term:
+        if e.op == OP_SCALE:
+            return ScaleT(e.coeff, *args)
+        if e.op not in _OPS:
+            raise LogicError(f"unknown operator {e.op!r}")
+        return _OPS[e.op](*args)
+
+    def divide(self, t1: Term, t2: Term) -> Term:
+        self.constraint += [GeF(t2, left(t1)), GeF(right(t1), t2)]
+        return TupleT((IntervalT(left(t1), t2), IntervalT(t2, right(t1))))
+
+    def mark(self, e: Mark, t1: Term, t2: Term) -> Term:
+        if e.mark_id is None:
+            raise LogicError("mark without identifier")
+        y = YVar(e.mark_id)
+        self.constraint.append(EqF(ValT(e.agent, IntervalT(left(t1), y)), t2))
+        return y
+
+    def valuation(self, e: EvalQ, t: Term) -> Term:
+        return ValT(e.agent, t)
+
+
 def translate(path_expr: Expr) -> Translated:
-    """Compute the result term and constraint of an if-free path.
+    """Compute the result term and constraint of an if-free path by running
+    `interp.Walk` in the term domain (`_Translator`).
 
     Split bindings substitute projections of the scrutinee's term for the
-    bound variables, exactly like the logical substitution in the
-    definition; an environment implements the substitution lazily.  The
-    smart constructors `proj`, `left` and `right` reduce as they build and
-    guards are lifted at once, so the result and the constraint come out
-    already simplified: `simplify` leaves them unchanged.
+    bound variables, like the logical substitution in the definition; the
+    walk's environment does it lazily.  The smart constructors `proj`,
+    `left` and `right` reduce as they build and guards are lifted at once,
+    so the result and the constraint come out already reduced.
     """
-    marks: list[int] = []
-
-    def go(e: Expr, env: dict) -> tuple[Term, list[Formula]]:
-        if isinstance(e, Lit):
-            return term_of_value(e.value), []
-        if isinstance(e, (Var, AffVar)):
-            if e.name not in env:
-                raise LogicError(f"unbound variable {e.name!r} in path")
-            return env[e.name], []
-        if isinstance(e, ReadVar):
-            if e.name not in env:
-                raise LogicError(f"unbound read variable @{e.name} in path")
-            return env[e.name], []
-        if isinstance(e, Cake):
-            return IntervalT(Const(Fraction(0)), Const(Fraction(1))), []
-        if isinstance(e, TupleE):
-            terms, cs = [], []
-            for item in e.items:
-                t, c = go(item, env)
-                terms.append(t)
-                cs.extend(c)
-            return TupleT(tuple(terms)), cs
-        if isinstance(e, Split):
-            ts, cs = go(e.scrutinee, env)
-            inner = dict(env)
-            if len(e.binders) == 1:
-                inner[e.binders[0]] = ts
-            else:
-                for i, name in enumerate(e.binders):
-                    inner[name] = proj(i + 1, ts)
-            tb, cb = go(e.body, inner)
-            return tb, cs + cb
-        if isinstance(e, AssertE):
-            tg, cg = go(e.guard, env)
-            tb, cb = go(e.body, env)
-            return tb, [_lift(tg)] + cg + cb
-        if isinstance(e, If):
-            raise LogicError("if-expression inside a path")
-        if isinstance(e, Op):
-            terms, cs = [], []
-            for a in e.args:
-                t, c = go(a, env)
-                terms.append(t)
-                cs.extend(c)
-            table = {OP_AND: TAnd, OP_OR: TOr, OP_GE: TGe, OP_EQ: TEq,
-                     OP_ADD: AddT}
-            if e.op in table:
-                return table[e.op](*terms), cs
-            if e.op == OP_NOT:
-                return TNot(terms[0]), cs
-            if e.op == OP_SCALE:
-                return ScaleT(e.coeff, terms[0]), cs
-            raise LogicError(f"unknown operator {e.op!r}")
-        if isinstance(e, Divide):
-            t1, c1 = go(e.interval, env)
-            t2, c2 = go(e.point, env)
-            pair = TupleT((IntervalT(left(t1), t2), IntervalT(t2, right(t1))))
-            side = [GeF(t2, left(t1)), GeF(right(t1), t2)]
-            return pair, c1 + c2 + side
-        if isinstance(e, PieceE):
-            terms, cs = [], []
-            for item in e.items:
-                t, c = go(item, env)
-                terms.append(t)
-                cs.extend(c)
-            return UnionT(tuple(terms)), cs
-        if isinstance(e, Mark):
-            if e.mark_id is None:
-                raise LogicError("mark without identifier")
-            marks.append(e.mark_id)
-            t1, c1 = go(e.interval, env)
-            t2, c2 = go(e.target, env)
-            y = YVar(e.mark_id)
-            side = EqF(ValT(e.agent, IntervalT(left(t1), y)), t2)
-            return y, c1 + c2 + [side]
-        if isinstance(e, EvalQ):
-            t, c = go(e.arg, env)
-            return ValT(e.agent, t), c
-        raise LogicError(f"unhandled path expression {e!r}")
-
-    result, cs = go(path_expr, {})
-    return Translated(result, conj(cs), tuple(marks))
+    tr = _Translator()
+    result = tr.eval(path_expr, {})
+    return Translated(result, conj(tr.constraint), tuple(tr.mark_ids))
 
 
 def envy_formula(alloc: Term, n_agents: int) -> Formula:

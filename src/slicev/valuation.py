@@ -7,7 +7,6 @@ valuation set on every piece with boundary points in a given finite set.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,11 +386,3 @@ def valuation_set_from_json(data: dict) -> ValuationSet:
     if vs.n_agents != data.get("agents", vs.n_agents):
         raise ValuationError("agent count mismatch in valuation set")
     return vs
-
-
-def dump_valuation_set(vs: ValuationSet) -> str:
-    return json.dumps(valuation_set_to_json(vs), indent=2)
-
-
-def load_valuation_set(text: str) -> ValuationSet:
-    return valuation_set_from_json(json.loads(text))

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import sys
+
+import pytest
 
 from slicev.cli import main
 
@@ -127,3 +130,158 @@ def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "interrupted\n"
     assert captured.out == ""
+
+
+# -- malformed input files ---------------------------------------------------
+
+@pytest.mark.parametrize("text", ["{bad", "{}", '{"valuations": 3}'])
+@pytest.mark.parametrize("command", ["replay", "simulate"])
+def test_malformed_json_input_is_a_usage_error(capsys, tmp_path, command,
+                                               text):
+    bad = tmp_path / "input.json"
+    bad.write_text(text)
+    argv = ([command, CC, str(bad)] if command == "replay"
+            else [command, CC, "--valuations", str(bad)])
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+# -- pinned JSON output of simulate and replay ---------------------------------
+
+CE_CUTTER_CHOOSES = {
+    "valuations": {"agents": 2, "valuations": [
+        {"type": "piecewise_uniform",
+         "support": [["1/6", "7/12"], ["7/12", "1"]]},
+        {"type": "piecewise_uniform",
+         "support": [["0", "7/12"], ["3/4", "1"]]}]},
+    "mark_table": {"0": "7/12"},
+    "path_index": 0,
+    "witness": {"envious": 2, "envied": 1,
+                "own_value": "3/10", "other_value": "7/10"},
+}
+
+REPLAY_JSON = """{
+  "file": "FILE",
+  "allocation": [
+    "pc([0, 7/12])",
+    "pc([7/12, 1])"
+  ],
+  "envy_confirmed": true,
+  "witness": {
+    "envious": 2,
+    "envied": 1,
+    "own_value": "3/10",
+    "other_value": "7/10"
+  }
+}
+"""
+
+SIMULATE_JSON = """{
+  "file": "FILE",
+  "allocation": [
+    "pc([0, 23/30])",
+    "pc([23/30, 1])"
+  ],
+  "values": {
+    "1": [
+      "1/2",
+      "1/2"
+    ],
+    "2": [
+      "1",
+      "0"
+    ]
+  },
+  "envy_free": false,
+  "witness": {
+    "envious": 2,
+    "envied": 1,
+    "own_value": "0",
+    "other_value": "1"
+  },
+  "marks": {
+    "0": "23/30"
+  },
+  "valuations": {
+    "agents": 2,
+    "valuations": [
+      {
+        "type": "piecewise_uniform",
+        "support": [
+          [
+            "37/60",
+            "11/12"
+          ]
+        ]
+      },
+      {
+        "type": "piecewise_uniform",
+        "support": [
+          [
+            "2/15",
+            "17/60"
+          ]
+        ]
+      }
+    ]
+  }
+}
+"""
+
+
+def test_replay_json_output_is_pinned(capsys, tmp_path):
+    ce_file = tmp_path / "ce.json"
+    ce_file.write_text(json.dumps(CE_CUTTER_CHOOSES))
+    code, out = run(capsys, "replay", BAD_CC, str(ce_file), "--json")
+    assert code == 1
+    assert out == REPLAY_JSON.replace("FILE", BAD_CC)
+
+
+def test_simulate_json_output_is_pinned(capsys):
+    code, out = run(capsys, "simulate", BAD_CC, "--seed", "1", "--json")
+    assert code == 1
+    assert out == SIMULATE_JSON.replace("FILE", BAD_CC)
+    code, out = run(capsys, "simulate", BAD_CC, "--seed", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["witness"] is None
+
+
+# -- pinned compile output -----------------------------------------------------
+
+# sha256 over the sorted (file name, contents) pairs `slicev compile` writes
+COMPILE_DIGESTS = {
+    ("cut_choose", False):
+        "8f9ec964e06dcfa50ceb0b5938df8626bcafc67563a710a2ebcdf570b05d317e",
+    ("cut_choose", True):
+        "8f9ec964e06dcfa50ceb0b5938df8626bcafc67563a710a2ebcdf570b05d317e",
+    ("surplus", False):
+        "850a8f9d86e9e8202a706a23c0de0cf42db7bcf1873b8cafa0a8ee05c6a08a91",
+    ("surplus", True):
+        "f628cf7c9334b4f9f9feff7f5278cce704cff15fdd30eb71189cb9232ea57f21",
+    ("waste_makes_haste3", False):
+        "10bc68c89334466f69005b7af858cf94b3d85d2e1dd434cb8f3149f4e35c1ceb",
+    ("waste_makes_haste3", True):
+        "0918ecc3cb8e18d45047b91389117668d8b29be254594f7893f6ca9629415156",
+    ("selfridge_conway_surplus", False):
+        "d182266b78fe21f80589ea33ca2f9d4aba70afd1c9d0ea8cb3a3ef81c2688268",
+    ("selfridge_conway_surplus", True):
+        "d85e007d879e2bc97a3e54c897e64d52c4893f08c851afafada7318db01d4d18",
+}
+
+
+def output_digest(out_dir) -> str:
+    h = hashlib.sha256()
+    for p in sorted(out_dir.iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, all_orders", sorted(COMPILE_DIGESTS))
+def test_compile_output_is_pinned(capsys, tmp_path, name, all_orders):
+    argv = ["compile", str(GOOD_PROTOCOLS[name]), "--out", str(tmp_path)]
+    code, _out = run(capsys, *argv, *(["--all-orders"] if all_orders else []))
+    assert code == 0
+    assert output_digest(tmp_path) == COMPILE_DIGESTS[name, all_orders]

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from slicev.core import OP_GE, AssertE, Cake, Divide, Mark, Op, Split
 from slicev.logic import (
-    AddT, BConst, Const, EqF, Formula, GeF, ImpF, IntervalT, LeftT, NotF, OrF,
-    PointAtomNotInS, ProjT, RightT, ScaleT, TAnd, TEq, TGe, TNot, TOr, Term,
-    TruthF, TupleT, UnionT, ValT, YVar, ZVar,
+    AddT, BConst, Const, EqF, Formula, GeF, ImpF, IntervalT, LeftT, LogicError,
+    NotF, OrF, PointAtomNotInS, ProjT, RightT, ScaleT, TAnd, TEq, TGe, TNot,
+    TOr, Term, TruthF, TupleT, UnionT, ValT, YVar, ZVar,
     ZERO_KEY, ONE_KEY, apply_replacement, build_vc, compatible_replacements,
     conjuncts, enumerate_replacements, envy_formula, eval_formula, is_linear,
     order_formula, ordering_facts, parts, point_atoms, rebuild,
@@ -97,6 +98,49 @@ def test_divide_at_literal_zero():
     atoms = conjuncts(simplify(tr.constraint))
     assert GeF(c(0), c(0)) in atoms
     assert GeF(c(1), c(0)) in atoms
+
+
+# -- translation order (`compile` output depends on it) ---------------------------
+
+def test_assert_guard_precedes_its_own_side_conditions():
+    guard = parse_expr(
+        "let a, b = split divide(cake, mark[1](@cake, 1/2 * eval[1](@cake))) "
+        "in eval[1](@a) >= eval[1](@b)")
+    tr = translate(AssertE(guard, parse_expr("divide(cake, 1/2)")))
+    whole = interval(c(0), c(1))
+    assert conjuncts(tr.constraint) == [
+        # the lifted guard
+        GeF(ValT(1, interval(c(0), y(0))), ValT(1, interval(y(0), c(1)))),
+        # then the guard's mark and divide side conditions
+        EqF(ValT(1, interval(c(0), y(0))), ScaleT(F(1, 2), ValT(1, whole))),
+        GeF(y(0), c(0)),
+        GeF(c(1), y(0)),
+        # then the body's
+        GeF(c("1/2"), c(0)),
+        GeF(c(1), c("1/2")),
+    ]
+
+
+def test_mark_ids_come_out_in_pre_order():
+    read_cake = parse_expr("@cake")
+    inner = Mark(2, read_cake, parse_expr("eval[2](@cake)"), mark_id=4)
+    target = Split(("a", "b"), Divide(Cake(), inner),
+                   parse_expr("eval[1](@a)"))
+    outer = Mark(1, read_cake, target, mark_id=7)
+    last = Mark(1, read_cake, parse_expr("eval[1](@cake)"), mark_id=1)
+    tr = translate(Op(OP_GE, (outer, last)))
+    assert tr.mark_ids == (7, 4, 1)
+    # side conditions, by contrast, follow evaluation: the inner mark's first
+    assert [x.left.piece.hi for x in conjuncts(tr.constraint)
+            if isinstance(x, EqF)] == [y(4), y(7), y(1)]
+
+
+def test_translate_rejects_if_and_unnumbered_mark():
+    with pytest.raises(LogicError, match="if-expression"):
+        translate(parse_expr(
+            "if eval[1](@cake) >= eval[1](@cake) then cake else cake"))
+    with pytest.raises(LogicError, match="mark without identifier"):
+        translate(Mark(1, parse_expr("@cake"), parse_expr("eval[1](@cake)")))
 
 
 # -- envy formula -----------------------------------------------------------------

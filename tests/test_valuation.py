@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 from slicev.core import IntervalVal, PieceVal
 from slicev.valuation import (
     DensityTooLow, PUValuation, Segment, TargetExceedsValue, Valuation,
-    ValuationSet, agrees_on, construct_agreeing_pu, dump_valuation_set,
-    easily_replaceable_check, load_valuation_set, maxdens, maxdens_set,
-    val_eval, val_mark,
+    ValuationSet, agrees_on, construct_agreeing_pu, easily_replaceable_check,
+    maxdens, maxdens_set, val_eval, val_mark, valuation_set_from_json,
+    valuation_set_to_json,
 )
 
 from conftest import random_pl_set, random_piecewise_linear, random_pu_set
@@ -229,12 +230,12 @@ def test_json_roundtrip():
     rng = random.Random(41)
     vs = ValuationSet([random_piecewise_linear(rng),
                        random_pu_set(rng, 1).agent(1)])
-    text = dump_valuation_set(vs)
-    back = load_valuation_set(text)
+    text = json.dumps(valuation_set_to_json(vs), indent=2)
+    back = valuation_set_from_json(json.loads(text))
     assert back.n_agents == 2
     for a, b in zip(vs, back):
         for x in range(0, 25):
             q = F(x, 24)
             assert a.eval_interval(F(0), q) == b.eval_interval(F(0), q)
-    assert '"1/2"' in dump_valuation_set(
-        ValuationSet([PUValuation([(F(0), F(1, 2))])])) or "1/2" in text
+    assert '"1/2"' in json.dumps(valuation_set_to_json(
+        ValuationSet([PUValuation([(F(0), F(1, 2))])]))) or "1/2" in text

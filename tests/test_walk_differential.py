@@ -1,0 +1,113 @@
+"""The shared walk (`slicev.interp.Walk`) against the two walks it replaced
+(`reference_walks`).  In the term domain it must give `repr`-equal
+translations of every corpus path; in the value domain it must give the same
+runs: value, trace points, mark answers, branch decisions and the reason of
+every stuck run."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_walks
+from slicev.core import AssertE, BoolVal, Cake, Lit, SliceError
+from slicev.interp import (
+    ASSERT_FAILED, DIVIDE_OUT_OF_RANGE, MARK_INFEASIBLE, MARK_REPLAY_MISMATCH,
+    check_envy_free, evaluate,
+)
+from slicev.logic import translate
+from slicev.paths import enumerate_paths, select_path
+from slicev.solver import BUNDLED_SOLVER, VerifyConfig, verify_program
+from slicev.syntax import parse_expr
+from slicev.valuation import Valuation, ValuationSet
+
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, random_pu_set
+
+# the twelve well-formed corpus protocols
+PROTOCOLS = {**GOOD_PROTOCOLS, **BAD_PROTOCOLS}
+CORPUS_PATHS = 4360
+DRAWS = 40            # seeded valuation sets per protocol
+ALL_PATHS_UP_TO = 24  # replay a draw on every path of protocols this small
+
+
+@pytest.fixture(scope="module")
+def protocols():
+    return {name: load(path) for name, path in PROTOCOLS.items()}
+
+
+def outcome(evaluate_fn, e, vs, replay=None) -> dict:
+    """Everything a run shows: its value, trace and envy verdict, or the
+    error it ended with (with the reason, for a stuck run)."""
+    try:
+        run = evaluate_fn(e, vs, replay)
+    except SliceError as exc:
+        return {"error": type(exc).__name__, "message": str(exc),
+                "reason": getattr(exc, "reason", None)}
+    try:
+        envy = check_envy_free(run.value, vs)
+    except SliceError:
+        envy = None           # not an allocation
+    return {"value": run.value, "points": run.trace.points,
+            "marks": run.trace.mark_answers, "branches": run.trace.branches,
+            "envy": envy}
+
+
+def same_outcome(e, vs, replay=None):
+    new = outcome(evaluate, e, vs, replay)
+    assert new == outcome(reference_walks.evaluate, e, vs, replay)
+    return new
+
+
+def test_translate_matches_on_every_corpus_path(protocols):
+    count = 0
+    for name, program in protocols.items():
+        for path in enumerate_paths(program.body):
+            new = translate(path.expr)
+            old = reference_walks.translate(path.expr)
+            assert repr(new) == repr(old), (name, path.index)
+            count += 1
+    assert count == CORPUS_PATHS
+
+
+def test_evaluate_matches_on_seeded_draws(protocols):
+    rng = random.Random(1301)
+    stuck = set()
+    for name, program in protocols.items():
+        paths = [p.expr for p in enumerate_paths(program.body)]
+        paths = paths if len(paths) <= ALL_PATHS_UP_TO else []
+        for _ in range(DRAWS):
+            vs = random_pu_set(rng, program.agents)
+            run = same_outcome(program.body, vs)
+            if "error" in run:
+                stuck.add(run["reason"])
+                continue
+            marks, branches = run["marks"], dict(run["branches"])
+            same_outcome(select_path(program.body, branches), vs, marks)
+            for path in paths:
+                stuck.add(same_outcome(path, vs, marks).get("reason"))
+    # replaying a draw on the paths it did not take fails their asserts
+    assert ASSERT_FAILED in stuck
+
+
+def test_evaluate_matches_on_counterexample_replays(protocols):
+    for name in BAD_PROTOCOLS:
+        program = protocols[name]
+        res = verify_program(program, VerifyConfig(solver=BUNDLED_SOLVER))
+        assert res.verdict == "invalid", name
+        ce = res.counterexample
+        run = same_outcome(program.body, ce.valuations, ce.mark_table)
+        assert run["envy"] == (False, ce.witness), name
+
+
+UNIFORM = ValuationSet([Valuation.uniform()])
+
+
+@pytest.mark.parametrize("e, replay, reason", [
+    (parse_expr("divide([1/2, 1], 0)"), None, DIVIDE_OUT_OF_RANGE),
+    (parse_expr("mark[1](@cake, 2 * eval[1](@cake))"), None, MARK_INFEASIBLE),
+    (parse_expr("mark[1](@cake, 1/2 * eval[1](@cake))"), {0: Fraction(1, 4)},
+     MARK_REPLAY_MISMATCH),
+    (AssertE(Lit(BoolVal(False)), Cake()), None, ASSERT_FAILED),
+], ids=["divide", "mark", "replay", "assert"])
+def test_evaluate_matches_on_stuck_runs(e, replay, reason):
+    assert same_outcome(e, UNIFORM, replay)["reason"] == reason
