@@ -2,7 +2,8 @@
 
 Subcommands: typecheck, paths, compile, verify, simulate, replay.  Exit
 codes: 0 success, 1 violations or a confirmed envy counterexample, 2
-unknown/solver trouble, 64 usage errors, 130 interrupted (Ctrl-C).
+unknown/solver trouble, 64 usage errors (a file that cannot be read or does
+not parse, a malformed JSON input), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .solver import (
     Counterexample, SolverError, VerifyConfig, build_vc, path_replacements,
     replay_counterexample, verify_program, write_query,
 )
-from .syntax import Program, parse, pretty
+from .syntax import Program, SliceSyntaxError, parse, pretty
 from .typecheck import check_wellformed, typecheck
 from .valuation import (
-    PUValuation, ValuationSet, val_eval, valuation_set_from_json,
+    PUValuation, ValuationSet, _rs, val_eval, valuation_set_from_json,
     valuation_set_to_json,
 )
 
@@ -34,10 +35,6 @@ EXIT_VIOLATION = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INTERRUPTED = 130    # 128 + SIGINT, as a shell reports Ctrl-C
-
-
-def _rs(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 class UsageError(Exception):
@@ -330,7 +327,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, SliceSyntaxError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

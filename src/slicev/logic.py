@@ -1,8 +1,10 @@
 """Logical IR and the path-to-formula pipeline.
 
-A path translates to a result term and a constraint formula; envy-freeness
-of the result is an implication whose validity is checked per piecewise
-uniform replacement (a total order on the path's mark variables).
+The IR has two sorts: terms (points, pieces, tuples and valuation sums) and
+formulas.  A path translates to a result term and a constraint formula; a
+boolean expression, such as a guard, translates straight to a formula.
+Envy-freeness of the result is an implication whose validity is checked per
+piecewise uniform replacement (a total order on the path's mark variables).
 Translation builds reduced terms, so after replacement every atom is linear
 real arithmetic.
 """
@@ -58,11 +60,6 @@ class ZVar(Term):
 
 
 @dataclass(frozen=True)
-class BConst(Term):
-    flag: bool
-
-
-@dataclass(frozen=True)
 class IntervalT(Term):
     lo: Term
     hi: Term
@@ -112,36 +109,6 @@ class ScaleT(Term):
     arg: Term
 
 
-# Boolean-sorted terms (operator images); lifted to formulas by `_lift`.
-@dataclass(frozen=True)
-class TAnd(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class TOr(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class TNot(Term):
-    arg: Term
-
-
-@dataclass(frozen=True)
-class TGe(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class TEq(Term):
-    left: Term
-    right: Term
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
@@ -174,13 +141,6 @@ class EqF(Formula):
 
 
 @dataclass(frozen=True)
-class TruthF(Formula):
-    """`t = true` for a boolean-sorted term t."""
-
-    term: Term
-
-
-@dataclass(frozen=True)
 class NotF(Formula):
     arg: Formula
 
@@ -206,18 +166,18 @@ class ImpF(Formula):
 # ---------------------------------------------------------------------------
 
 Node = Union[Term, Formula]
-_LEAVES = (Const, YVar, ZVar, BConst, TrueF, FalseF)
+_LEAVES = (Const, YVar, ZVar, TrueF, FalseF)
 
 
 def parts(x: Node) -> tuple[Node, ...]:
     """Immediate sub-terms and sub-formulas of `x`, in field order."""
     if isinstance(x, _LEAVES):
         return ()
-    if isinstance(x, (AddT, GeF, EqF, TAnd, TOr, TGe, TEq)):
+    if isinstance(x, (AddT, GeF, EqF)):
         return (x.left, x.right)
     if isinstance(x, (AndF, OrF, TupleT)):
         return x.items
-    if isinstance(x, (ScaleT, NotF, TNot)):
+    if isinstance(x, (ScaleT, NotF)):
         return (x.arg,)
     if isinstance(x, ValT):
         return (x.piece,)
@@ -231,8 +191,6 @@ def parts(x: Node) -> tuple[Node, ...]:
         return (x.tup,)
     if isinstance(x, (LeftT, RightT)):
         return (x.interval,)
-    if isinstance(x, TruthF):
-        return (x.term,)
     raise LogicError(f"unknown node {x!r}")
 
 
@@ -243,8 +201,7 @@ def rebuild(x: Node, new: Iterable[Node]) -> Node:
         return x
     if isinstance(x, ScaleT):
         return ScaleT(x.coeff, *new)
-    if isinstance(x, (AddT, GeF, EqF, NotF, ImpF, IntervalT, TAnd, TOr, TGe,
-                      TEq, TNot, LeftT, RightT, TruthF)):
+    if isinstance(x, (AddT, GeF, EqF, NotF, ImpF, IntervalT, LeftT, RightT)):
         return type(x)(*new)
     if isinstance(x, (AndF, OrF, TupleT, UnionT)):
         return type(x)(tuple(new))
@@ -305,12 +262,13 @@ def conjuncts(f: Formula) -> list[Formula]:
 # Value embedding and path translation
 # ---------------------------------------------------------------------------
 
-def term_of_value(v: Value) -> Term:
-    """Embed a runtime value as a term; read-only wrappers are dropped."""
+def term_of_value(v: Value) -> Node:
+    """Embed a runtime value as a term, a boolean as a formula; read-only
+    wrappers are dropped."""
     if isinstance(v, ReadOnlyVal):
         return term_of_value(v.inner)
     if isinstance(v, BoolVal):
-        return BConst(v.flag)
+        return TrueF() if v.flag else FalseF()
     if isinstance(v, PointVal):
         return Const(v.point)
     if isinstance(v, IntervalVal):
@@ -340,13 +298,13 @@ class Translated:
     mark_ids: tuple[int, ...]
 
 
-_OPS = {OP_AND: TAnd, OP_OR: TOr, OP_NOT: TNot, OP_GE: TGe, OP_EQ: TEq,
-        OP_ADD: AddT}
+_OPS = {OP_NOT: NotF, OP_GE: GeF, OP_EQ: EqF, OP_ADD: AddT}
 
 
 class _Translator(Walk):
-    """The term domain of `interp.Walk`: each rule returns a reduced term
-    and appends its side conditions to `constraint`."""
+    """The term domain of `interp.Walk`: each rule returns a reduced term,
+    or a formula for a boolean, and appends its side conditions to
+    `constraint`."""
 
     lit = staticmethod(term_of_value)
 
@@ -361,14 +319,21 @@ class _Translator(Walk):
         n = len(e.binders)
         return [t] if n == 1 else [proj(i, t) for i in range(1, n + 1)]
 
-    def branch(self, e: If, guard: Term) -> bool:
+    def branch(self, e: If, guard: Formula) -> bool:
         raise LogicError("if-expression inside a path")
 
     def assume(self, guard) -> None:
         at = len(self.constraint)   # before the guard's side conditions
-        self.constraint.insert(at, _lift(guard()))
+        f = guard()
+        if not isinstance(f, Formula):
+            raise LogicError(f"not a boolean guard: {f!r}")
+        self.constraint.insert(at, f)
 
-    def op(self, e: Op, args: list) -> Term:
+    def op(self, e: Op, args: list) -> Node:
+        if e.op == OP_AND:
+            return conj(args)
+        if e.op == OP_OR:
+            return OrF(tuple(args))
         if e.op == OP_SCALE:
             return ScaleT(e.coeff, *args)
         if e.op not in _OPS:
@@ -397,8 +362,8 @@ def translate(path_expr: Expr) -> Translated:
     Split bindings substitute projections of the scrutinee's term for the
     bound variables, like the logical substitution in the definition; the
     walk's environment does it lazily.  The smart constructors `proj`,
-    `left` and `right` reduce as they build and guards are lifted at once,
-    so the result and the constraint come out already reduced.
+    `left` and `right` reduce as they build and boolean operators build
+    formulas, so the result and the constraint come out already reduced.
     """
     tr = _Translator()
     result = tr.eval(path_expr, {})
@@ -428,29 +393,10 @@ def simplify_term(t: Term) -> Term:
     return rebuild(t, new)
 
 
-def _lift(t: Term) -> Formula:
-    """Turn a simplified boolean-sorted term into a formula."""
-    if isinstance(t, TAnd):
-        return conj([_lift(t.left), _lift(t.right)])
-    if isinstance(t, TOr):
-        return OrF((_lift(t.left), _lift(t.right)))
-    if isinstance(t, TNot):
-        return NotF(_lift(t.arg))
-    if isinstance(t, TGe):
-        return GeF(t.left, t.right)
-    if isinstance(t, TEq):
-        return EqF(t.left, t.right)
-    if isinstance(t, BConst):
-        return TrueF() if t.flag else FalseF()
-    raise LogicError(f"not a boolean term: {t!r}")
-
-
 def simplify(f: Node) -> Node:
-    """Reduce projections and endpoint selectors; lift boolean terms."""
+    """Reduce projections and endpoint selectors."""
     if isinstance(f, Term):
         return simplify_term(f)
-    if isinstance(f, TruthF):
-        return _lift(simplify_term(f.term))
     new = [simplify(p) for p in parts(f)]
     return conj(new) if isinstance(f, AndF) else rebuild(f, new)
 
@@ -590,12 +536,8 @@ def order_formula(s: Replacement, n_agents: int) -> Formula:
             atoms.append(GeF(y, z))
             prev = y
         atoms.append(GeF(one, prev))
-        total: Optional[Term] = None
-        for e in elems:
-            part = AddT(_element_term(e), ScaleT(Fraction(-1), _z_for(a, e)))
-            total = part if total is None else AddT(total, part)
-        sums[a] = total
-        atoms.append(NotF(GeF(zero, total)))  # strict positivity
+        sums[a] = _window_sum(s, a, IntervalT(zero, one))
+        atoms.append(NotF(GeF(zero, sums[a])))  # strict positivity
     for a in range(1, n_agents + 1):
         for b in range(a + 1, n_agents + 1):
             atoms.append(EqF(sums[a], sums[b]))
@@ -749,11 +691,10 @@ def _piece_of_term(t: Term, assign: dict) -> list[tuple[Fraction, Fraction]]:
 
 
 def eval_term(t: Term, vs: Optional[ValuationSet], assign: dict):
-    """Interpret a term; `assign` maps YVar/ZVar to rationals."""
+    """Interpret a term, or a formula where a boolean stands; `assign` maps
+    YVar/ZVar to rationals."""
     if isinstance(t, Const):
         return t.value
-    if isinstance(t, BConst):
-        return t.flag
     if isinstance(t, (YVar, ZVar)):
         if t not in assign:
             raise LogicError(f"unassigned variable {t!r}")
@@ -783,16 +724,8 @@ def eval_term(t: Term, vs: Optional[ValuationSet], assign: dict):
         return eval_term(t.left, vs, assign) + eval_term(t.right, vs, assign)
     if isinstance(t, ScaleT):
         return t.coeff * eval_term(t.arg, vs, assign)
-    if isinstance(t, TAnd):
-        return eval_term(t.left, vs, assign) and eval_term(t.right, vs, assign)
-    if isinstance(t, TOr):
-        return eval_term(t.left, vs, assign) or eval_term(t.right, vs, assign)
-    if isinstance(t, TNot):
-        return not eval_term(t.arg, vs, assign)
-    if isinstance(t, TGe):
-        return eval_term(t.left, vs, assign) >= eval_term(t.right, vs, assign)
-    if isinstance(t, TEq):
-        return eval_term(t.left, vs, assign) == eval_term(t.right, vs, assign)
+    if isinstance(t, Formula):
+        return eval_formula(t, vs, assign)
     raise LogicError(f"cannot evaluate {t!r}")
 
 
@@ -805,8 +738,6 @@ def eval_formula(f: Formula, vs: Optional[ValuationSet], assign: dict) -> bool:
         return eval_term(f.left, vs, assign) >= eval_term(f.right, vs, assign)
     if isinstance(f, EqF):
         return eval_term(f.left, vs, assign) == eval_term(f.right, vs, assign)
-    if isinstance(f, TruthF):
-        return bool(eval_term(f.term, vs, assign))
     if isinstance(f, NotF):
         return not eval_formula(f.arg, vs, assign)
     if isinstance(f, AndF):
@@ -822,8 +753,6 @@ def eval_formula(f: Formula, vs: Optional[ValuationSet], assign: dict) -> bool:
 def term_to_value(t: Term, assign: dict) -> Value:
     """Reconstruct the runtime value a result term denotes."""
     t = simplify_term(t)
-    if isinstance(t, BConst):
-        return BoolVal(t.flag)
     if isinstance(t, Const):
         return PointVal(t.value)
     if isinstance(t, YVar):

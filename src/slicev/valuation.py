@@ -131,11 +131,6 @@ class Valuation:
                 total += s.mass(a, b)
         return total
 
-    def eval_piece(self, p: Union[IntervalVal, PieceVal]) -> Fraction:
-        # Measure of the union: overlapping components are not double-counted.
-        merged = _merge_intervals(piece_as_intervals(p))
-        return sum((self.eval_interval(lo, hi) for lo, hi in merged), ZERO)
-
     def mark(self, lo: Fraction, hi: Fraction, target: Fraction) -> Fraction:
         """Leftmost r with V[lo, r] = target; requires target <= V[lo, hi]."""
         if target < 0 or target > self.eval_interval(lo, hi):
@@ -200,10 +195,6 @@ class PUValuation:
                 covered += y - x
         return self.constant * covered
 
-    def eval_piece(self, p: Union[IntervalVal, PieceVal]) -> Fraction:
-        merged = _merge_intervals(piece_as_intervals(p))
-        return sum((self.eval_interval(lo, hi) for lo, hi in merged), ZERO)
-
     def mark(self, lo: Fraction, hi: Fraction, target: Fraction) -> Fraction:
         if target < 0 or target > self.eval_interval(lo, hi):
             raise TargetExceedsValue(f"mark target {target} not in [0, V[{lo},{hi}]]")
@@ -247,7 +238,9 @@ class ValuationSet:
 
 
 def val_eval(v: AnyValuation, piece: Union[IntervalVal, PieceVal, Value]) -> Fraction:
-    return v.eval_piece(piece)
+    """Measure of a piece: overlapping components are not double-counted."""
+    merged = _merge_intervals(piece_as_intervals(piece))
+    return sum((v.eval_interval(lo, hi) for lo, hi in merged), ZERO)
 
 
 def val_mark(v: AnyValuation, lo: Rational, hi: Rational, target: Rational) -> Fraction:
@@ -319,7 +312,7 @@ def agrees_on(u: ValuationSet, v: ValuationSet, points: Iterable[Rational]) -> b
     for piece in pieces:
         pv = PieceVal(tuple(IntervalVal(a, b) for a, b in piece))
         for ua, va in zip(u, v):
-            if ua.eval_piece(pv) != va.eval_piece(pv):
+            if val_eval(ua, pv) != val_eval(va, pv):
                 return False
     return True
 

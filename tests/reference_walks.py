@@ -3,10 +3,14 @@ computed values (`evaluate`) and the translator that built a path's result
 term and constraint (`translate`), each walking `Expr` on its own.  Kept as
 the reference for the differential test of the shared walk
 (`test_walk_differential.py`), which requires the same translations and the
-same runs from both."""
+same runs from both.
+
+The reference translator builds boolean-sorted terms of its own and lifts a
+guard to a formula only at its `assert` (`_lift`)."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -21,11 +25,59 @@ from slicev.interp import (
     EvalTrace, RunResult, Stuck, vltn_value,
 )
 from slicev.logic import (
-    AddT, Const, EqF, Formula, GeF, IntervalT, LogicError, ScaleT, TAnd, TEq,
-    TGe, TNot, TOr, Term, Translated, TupleT, UnionT, ValT, YVar, _lift, conj,
-    left, proj, right, term_of_value,
+    AddT, Const, EqF, FalseF, Formula, GeF, IntervalT, LogicError, NotF, OrF,
+    ScaleT, Term, Translated, TrueF, TupleT, UnionT, ValT, YVar, conj, left,
+    proj, right, term_of_value,
 )
 from slicev.valuation import TargetExceedsValue, ValuationSet, val_mark
+
+
+# Boolean-sorted terms (operator images); lifted to formulas by `_lift`.
+@dataclass(frozen=True)
+class TAnd(Term):
+    left: Term
+    right: Term
+
+
+@dataclass(frozen=True)
+class TOr(Term):
+    left: Term
+    right: Term
+
+
+@dataclass(frozen=True)
+class TNot(Term):
+    arg: Term
+
+
+@dataclass(frozen=True)
+class TGe(Term):
+    left: Term
+    right: Term
+
+
+@dataclass(frozen=True)
+class TEq(Term):
+    left: Term
+    right: Term
+
+
+def _lift(t: Term) -> Formula:
+    """Turn a boolean-sorted term into a formula; a boolean literal already
+    is one (`term_of_value`)."""
+    if isinstance(t, TAnd):
+        return conj([_lift(t.left), _lift(t.right)])
+    if isinstance(t, TOr):
+        return OrF((_lift(t.left), _lift(t.right)))
+    if isinstance(t, TNot):
+        return NotF(_lift(t.arg))
+    if isinstance(t, TGe):
+        return GeF(t.left, t.right)
+    if isinstance(t, TEq):
+        return EqF(t.left, t.right)
+    if isinstance(t, (TrueF, FalseF)):
+        return t
+    raise LogicError(f"not a boolean term: {t!r}")
 
 
 def _is_affine_value(v: Value) -> bool:

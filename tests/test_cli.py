@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import slicev
 from slicev.cli import main
 
 from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, ILL_TYPED_SURPLUS
@@ -102,6 +106,52 @@ def test_usage_error_exit_64(capsys):
 
 def test_missing_file_exit_64(capsys):
     assert main(["typecheck", "no/such/file.slice"]) == 64
+
+
+UNPARSABLE = "agents 2; let p = split"
+
+
+def argv_for(command, protocol, tmp_path):
+    """A full command line of `command` on `protocol`, its other inputs
+    well-formed."""
+    if command == "compile":
+        return [command, protocol, "--out", str(tmp_path / "vcs")]
+    if command == "replay":
+        ce_file = tmp_path / "ce.json"
+        ce_file.write_text(json.dumps(CE_CUTTER_CHOOSES))
+        return [command, protocol, str(ce_file)]
+    return [command, protocol]
+
+
+@pytest.mark.parametrize("command", ["typecheck", "paths", "compile", "verify",
+                                     "simulate", "replay"])
+@pytest.mark.parametrize("protocol", ["unparsable", "directory"])
+def test_unreadable_protocol_is_a_usage_error(capsys, tmp_path, command,
+                                              protocol):
+    if protocol == "unparsable":
+        path = tmp_path / "broken.slice"
+        path.write_text(UNPARSABLE)
+    else:
+        path = tmp_path
+    assert main(argv_for(command, str(path), tmp_path)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_import_leaves_the_solver_and_the_pool_unloaded():
+    # `slicev.smtlib`, `slicev.lra` and `multiprocessing` are imported only
+    # when a query is checked or a pool starts, so that commands which never
+    # solve start fast and small
+    src = str(Path(slicev.__file__).resolve().parent.parent)
+    code = ("import sys, slicev, slicev.cli; print(sorted(m for m in "
+            "('slicev.smtlib', 'slicev.lra', 'multiprocessing') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_reports_total_paths_when_short_circuiting(capsys):

@@ -8,9 +8,9 @@ import pytest
 
 from slicev.core import OP_GE, AssertE, Cake, Divide, Mark, Op, Split
 from slicev.logic import (
-    AddT, BConst, Const, EqF, Formula, GeF, ImpF, IntervalT, LeftT, LogicError,
-    NotF, OrF, PointAtomNotInS, ProjT, RightT, ScaleT, TAnd, TEq, TGe, TNot,
-    TOr, Term, TruthF, TupleT, UnionT, ValT, YVar, ZVar,
+    AddT, AndF, Const, EqF, FalseF, Formula, GeF, ImpF, IntervalT, LeftT,
+    LogicError, NotF, OrF, PointAtomNotInS, ProjT, RightT, ScaleT, Term, TrueF,
+    TupleT, UnionT, ValT, YVar, ZVar,
     ZERO_KEY, ONE_KEY, apply_replacement, build_vc, compatible_replacements,
     conjuncts, enumerate_replacements, envy_formula, eval_formula, is_linear,
     order_formula, ordering_facts, parts, point_atoms, rebuild,
@@ -143,6 +143,14 @@ def test_translate_rejects_if_and_unnumbered_mark():
         translate(Mark(1, parse_expr("@cake"), parse_expr("eval[1](@cake)")))
 
 
+def test_translate_rejects_a_guard_that_is_not_boolean():
+    # the typechecker keeps such a path out of the pipeline; built by hand,
+    # its guard translates to a term, which cannot go into the constraint
+    for guard in ("eval[1](@cake)", "cake"):
+        with pytest.raises(LogicError, match="not a boolean guard"):
+            translate(AssertE(parse_expr(guard), Cake()))
+
+
 # -- envy formula -----------------------------------------------------------------
 
 def test_envy_two_agents_four_conjuncts():
@@ -193,7 +201,7 @@ def _nodes(x):
 def test_translation_is_in_normal_form():
     # the verify pipeline never calls simplify: translation must already
     # produce its normal form, on every path of the corpus
-    unreduced = (ProjT, LeftT, RightT, TruthF)
+    unreduced = (ProjT, LeftT, RightT)
     n_paths = 0
     for path_file in [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values()]:
         program = load(path_file)
@@ -236,9 +244,9 @@ def test_parts_and_rebuild_follow_the_dataclass_fields():
     pair = TupleT((p, UnionT((interval(y(0), c(1)),))))
     hand_built = [
         ProjT(2, pair), LeftT(p), RightT(p), ScaleT(F(1, 3), ValT(2, p)),
-        TruthF(TAnd(TOr(TNot(BConst(True)), TGe(y(0), c(0))),
-                    TEq(ValT(1, ProjT(1, pair)), z(1, ONE_KEY)))),
-        ImpF(OrF((GeF(y(0), c(0)), NotF(EqF(y(0), c(1))))), TruthF(BConst(False))),
+        AndF((OrF((NotF(TrueF()), GeF(y(0), c(0)))),
+              EqF(ValT(1, ProjT(1, pair)), z(1, ONE_KEY)))),
+        ImpF(OrF((GeF(y(0), c(0)), NotF(EqF(y(0), c(1))))), FalseF()),
     ]
     for node in hand_built:
         _check_shapes(node)
@@ -251,7 +259,7 @@ def test_parts_and_rebuild_follow_the_dataclass_fields():
     assert rebuild(ScaleT(F(1, 3), y(0)), [y(1)]) == ScaleT(F(1, 3), y(1))
 
 
-def test_boolean_terms_lift_to_formulas():
+def test_guards_translate_to_formulas():
     tr = translate(next(enumerate_paths(
         parse_expr("if eval[1](@cake) >= eval[2](@cake) then cake else cake"))).expr)
     f = simplify(tr.constraint)
@@ -260,20 +268,25 @@ def test_boolean_terms_lift_to_formulas():
 
 
 def test_simplification_preserves_truth():
-    from slicev.logic import TAnd, TEq, TGe, TNot
     rng = random.Random(73)
     whole = interval(c(0), c(1))
+    pair = TupleT((interval(c(0), y(0)), interval(y(1), c(1))))
+    selectors = (ProjT, LeftT, RightT)
     for _ in range(100):
         assign = {y(0): F(rng.randint(0, 8), 8), y(1): F(rng.randint(0, 8), 8)}
         vs = ValuationSet([PUValuation([(F(0), F(1))]),
                            PUValuation([(F(1, 4), F(3, 4))])])
-        pieces = [whole, interval(c(0), y(0)), interval(y(1), c(1)),
-                  UnionT((interval(c(0), y(0)), interval(y(1), c(1))))]
+        pieces = [whole, ProjT(1, pair), ProjT(2, pair),
+                  UnionT((ProjT(1, pair), ProjT(2, pair)))]
+        points = [LeftT(ProjT(2, pair)), RightT(ProjT(1, pair)), RightT(whole)]
         t1 = ValT(rng.randint(1, 2), rng.choice(pieces))
         t2 = ValT(rng.randint(1, 2), rng.choice(pieces))
-        raw = TruthF(rng.choice([
-            TGe(t1, t2), TNot(TGe(t1, t2)), TAnd(TGe(t1, t2), TEq(t1, t1))]))
+        p1, p2 = rng.choice(points), rng.choice(points)
+        raw = rng.choice([
+            GeF(t1, t2), NotF(GeF(t1, t2)), AndF((GeF(t1, t2), EqF(t1, t1))),
+            OrF((GeF(p1, p2), NotF(EqF(p1, p2))))])
         simplified = simplify(raw)
+        assert not any(isinstance(n, selectors) for n in subterms(simplified))
         assert eval_formula(raw, vs, assign) == eval_formula(simplified, vs, assign)
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from slicev.interp import evaluate, check_envy_free
 from slicev.logic import (
-    ONE_KEY, AndF, Const, EqF, GeF, IntervalT, ProjT, TGe, TruthF, TupleT,
-    ValT, YVar, ZVar, build_vc, replacement_from_permutation, translate,
+    ONE_KEY, AndF, Const, EqF, GeF, IntervalT, ProjT, TrueF, TupleT, ValT,
+    YVar, ZVar, build_vc, replacement_from_permutation, translate,
 )
 from slicev.paths import enumerate_paths
 from slicev import smtlib
@@ -59,7 +59,7 @@ def test_emit_rejects_nonlinear_nodes(programs):
     vc = cut_choose_vc(programs)
     piece = IntervalT(Const(F(0)), YVar(0))
     nonlinear = [GeF(ValT(1, piece), YVar(0)), EqF(piece, piece),
-                 TruthF(TGe(YVar(0), Const(F(0)))),
+                 EqF(GeF(YVar(0), Const(F(0))), TrueF()),
                  GeF(ProjT(1, TupleT((YVar(0),))), YVar(0))]
     for atom in nonlinear:
         for side in ("antecedent", "negated_goal"):

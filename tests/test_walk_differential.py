@@ -1,8 +1,8 @@
 """The shared walk (`slicev.interp.Walk`) against the two walks it replaced
 (`reference_walks`).  In the term domain it must give `repr`-equal
-translations of every corpus path; in the value domain it must give the same
-runs: value, trace points, mark answers, branch decisions and the reason of
-every stuck run."""
+translations of every corpus path and of every path of `BOOLEAN_GUARDS`; in
+the value domain it must give the same runs: value, trace points, mark
+answers, branch decisions and the reason of every stuck run."""
 
 import random
 from fractions import Fraction
@@ -18,7 +18,8 @@ from slicev.interp import (
 from slicev.logic import translate
 from slicev.paths import enumerate_paths, select_path
 from slicev.solver import BUNDLED_SOLVER, VerifyConfig, verify_program
-from slicev.syntax import parse_expr
+from slicev.syntax import parse, parse_expr
+from slicev.typecheck import check_wellformed
 from slicev.valuation import Valuation, ValuationSet
 
 from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, random_pu_set
@@ -87,6 +88,67 @@ def test_evaluate_matches_on_seeded_draws(protocols):
                 stuck.add(same_outcome(path, vs, marks).get("reason"))
     # replaying a draw on the paths it did not take fails their asserts
     assert ASSERT_FAILED in stuck
+
+
+# Guards that no corpus protocol has: a boolean bound through `split` and
+# used later, `true`/`false` literals, and nested `not`/`and`/`or`.
+BOOLEAN_GUARDS = {
+    "split_bound": """agents 2;
+let p = split cake in
+let p1, p2 = split divide(p, mark[1](@p, 1/2 * eval[1](@p))) in
+let prefers, q1, q2 = split (eval[2](@p1) >= eval[2](@p2), p1, p2) in
+let tie = split eval[1](@q1) = eval[1](@q2) in
+if prefers and tie then
+  (piece(q2), piece(q1))
+else
+  assert not prefers or not tie in
+  (piece(q1), piece(q2))
+""",
+    "literals": """agents 2;
+let p = split cake in
+assert true in
+if false then
+  let p1, p2 = split divide(p, mark[1](@p, 1/2 * eval[1](@p))) in
+  (piece(p1), piece(p2))
+else
+  let p1, p2 = split divide(p, mark[2](@p, 1/2 * eval[2](@p))) in
+  if true and eval[1](@p1) >= eval[1](@p2) then
+    (piece(p1), piece(p2))
+  else
+    (piece(p2), piece(p1))
+""",
+    "nested": """agents 2;
+let p = split cake in
+let m1 = split mark[1](@p, 1/3 * eval[1](@p)) in
+let m2 = split mark[2](@p, 1/2 * eval[2](@p)) in
+if not (m1 >= m2 or not (m2 >= m1 and not false)) then
+  let p1, p2 = split divide(p, m1) in
+  (piece(p1), piece(p2))
+else
+  let p1, p2 = split divide(p, m2) in
+  if (eval[1](@p1) >= eval[1](@p2) or false)
+     and not (eval[2](@p1) = eval[2](@p2) and true) then
+    (piece(p1), piece(p2))
+  else
+    (piece(p2), piece(p1))
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_GUARDS))
+def test_walks_match_on_boolean_guards(name):
+    program = parse(BOOLEAN_GUARDS[name])
+    assert check_wellformed(program) == []
+    paths = [p.expr for p in enumerate_paths(program.body)]
+    for path in paths:
+        assert repr(translate(path)) == repr(reference_walks.translate(path))
+    rng = random.Random(1401)
+    for _ in range(DRAWS):
+        vs = random_pu_set(rng, program.agents)
+        run = same_outcome(program.body, vs)
+        if "error" not in run:
+            for path in paths:
+                same_outcome(path, vs, run["marks"])
 
 
 def test_evaluate_matches_on_counterexample_replays(protocols):
