@@ -3,13 +3,15 @@
 Subcommands: typecheck, paths, compile, verify, simulate, replay.  Exit
 codes: 0 success, 1 violations or a confirmed envy counterexample, 2
 unknown/solver trouble, 64 usage errors (a file that cannot be read or does
-not parse, a malformed JSON input), 130 interrupted (Ctrl-C).
+not parse, a malformed JSON input), 130 interrupted (Ctrl-C), 141 standard
+output closed by its reader (as `| head` does).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -35,6 +37,7 @@ EXIT_VIOLATION = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INTERRUPTED = 130    # 128 + SIGINT, as a shell reports Ctrl-C
+EXIT_BROKEN_PIPE = 141    # 128 + SIGPIPE
 
 
 class UsageError(Exception):
@@ -327,6 +330,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # The reader of standard output went away: stop quietly, and send
+        # what is still buffered to /dev/null so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, SliceSyntaxError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Union
 
-from .lra import Delta, Infeasible, Simplex
+from .lra import Infeasible, Simplex, delta
 
 Sexpr = Union[str, list]
 
@@ -323,17 +323,11 @@ class _Search:
         self._bound(s, op, const)
 
     def _bound(self, x: int, op: str, c: Fraction) -> None:
-        if op == "<=":
-            self.simplex.assert_upper(x, Delta(c, 0))
-        elif op == "<":
-            self.simplex.assert_upper(x, Delta(c, -1))
-        elif op == ">=":
-            self.simplex.assert_lower(x, Delta(c, 0))
-        elif op == ">":
-            self.simplex.assert_lower(x, Delta(c, 1))
-        else:
-            self.simplex.assert_lower(x, Delta(c, 0))
-            self.simplex.assert_upper(x, Delta(c, 0))
+        b = delta(c, -1 if op == "<" else 1 if op == ">" else 0)
+        if op not in ("<=", "<"):      # >=, > and =
+            self.simplex.assert_lower(x, b)
+        if op not in (">=", ">"):      # <=, < and =
+            self.simplex.assert_upper(x, b)
 
     def solve(self, goals: list) -> bool:
         if self.deadline is not None and time.monotonic() >= self.deadline:

@@ -1,14 +1,51 @@
-"""The Fraction-row general simplex that `slicev.lra.Simplex` replaced: each
-row stores one `Fraction` per entry.  Kept as the reference for the
-differential test of the integer-row engine (`test_lra_differential.py`),
-which requires the same answers, models, pivots and slack rows from both."""
+"""The simplex that `slicev.lra.Simplex` replaced, in two steps: each row
+stores one `Fraction` per entry, and each assignment and bound is a `Delta`,
+a pair of `Fraction`s.  Kept as the reference for the differential test of
+the integer engine (`test_lra_differential.py`), which requires the same
+answers, models, pivots and slack rows from both.  Bounds arrive as the
+integer triples `(r, k, d)` of `slicev.lra` and become `Delta`s at
+`assert_lower`/`assert_upper`; nothing else of `slicev.lra` is used, apart
+from the `Infeasible` that the SMT-LIB front end catches."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from slicev.lra import ZERO, Delta, Infeasible
+from slicev.lra import Infeasible
+
+
+@dataclass(frozen=True)
+class Delta:
+    """r + k*eps for an infinitesimal eps > 0."""
+
+    r: Fraction
+    k: Fraction = Fraction(0)
+
+    def __add__(self, other: "Delta") -> "Delta":
+        return Delta(self.r + other.r, self.k + other.k)
+
+    def __sub__(self, other: "Delta") -> "Delta":
+        return Delta(self.r - other.r, self.k - other.k)
+
+    def scale(self, c: Fraction) -> "Delta":
+        return Delta(self.r * c, self.k * c)
+
+    def __lt__(self, other: "Delta") -> bool:
+        return (self.r, self.k) < (other.r, other.k)
+
+    def __le__(self, other: "Delta") -> bool:
+        return (self.r, self.k) <= (other.r, other.k)
+
+
+ZERO = Delta(Fraction(0), 0)
+
+
+def of_triple(t: tuple[int, int, int]) -> Delta:
+    """The `Delta` of the integer triple `(r, k, d)`, (r + k*eps) / d."""
+    r, k, d = t
+    return Delta(Fraction(r, d), Fraction(k, d))
 
 
 class Simplex:
@@ -79,7 +116,8 @@ class Simplex:
             else:
                 self.upper[x] = old
 
-    def assert_lower(self, x: int, b: Delta) -> None:
+    def assert_lower(self, x: int, b: tuple[int, int, int]) -> None:
+        b = of_triple(b)
         cur = self.lower[x]
         if cur is not None and b <= cur:
             return
@@ -91,7 +129,8 @@ class Simplex:
         if x not in self.rows and self.assign[x] < b:
             self._update_nonbasic(x, b)
 
-    def assert_upper(self, x: int, b: Delta) -> None:
+    def assert_upper(self, x: int, b: tuple[int, int, int]) -> None:
+        b = of_triple(b)
         cur = self.upper[x]
         if cur is not None and cur <= b:
             return

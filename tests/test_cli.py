@@ -154,6 +154,28 @@ def test_import_leaves_the_solver_and_the_pool_unloaded():
     assert out.strip() == "[]"
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    # `slicev paths ... --list | head -1`: a reader that stops reading is
+    # neither a usage error nor worth a message; 141 is 128 + SIGPIPE
+    src = str(Path(slicev.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "slicev.cli", "paths"]
+    proc = subprocess.Popen(
+        [*cmd, str(GOOD_PROTOCOLS["selfridge_conway_full"]), "--list"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    for text in ("error:", "Traceback", "Exception ignored"):
+        assert text not in err
+    # other OSErrors are still usage errors
+    done = subprocess.run([*cmd, str(tmp_path)], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 64 and done.stderr.startswith("error: ")
+
+
 def test_verify_reports_total_paths_when_short_circuiting(capsys):
     scf_bug = str(BAD_PROTOCOLS["scf_taker_cuts"])
     code, out = run(capsys, "verify", scf_bug, "--json", "--solver", BUNDLED)

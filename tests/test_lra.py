@@ -2,10 +2,13 @@ import io
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
-from slicev.lra import Delta, Infeasible, Simplex
+import reference_lra
+from slicev.lra import Infeasible, Simplex, add_scaled, delta, lt, sub
 from slicev.smtlib import (
     SolverState, check_assertions, format_rational, parse_rational,
     parse_sexprs, run_command, tokenize_sexprs,
@@ -17,15 +20,45 @@ F = Fraction
 # -- delta-rationals ------------------------------------------------------------
 
 def test_delta_ordering_is_lexicographic():
-    assert Delta(F(1), -1) < Delta(F(1), 0) < Delta(F(1), 1)
-    assert Delta(F(0), 5) < Delta(F(1, 1000), -5)
+    assert lt(delta(F(1), -1), delta(F(1))) and lt(delta(F(1)), delta(F(1), 1))
+    assert lt(delta(F(0), 5), delta(F(1, 1000), -5))
+    assert not lt(delta(F(1)), delta(F(1))) and not lt(delta(F(1), 1), delta(F(1)))
 
 
 def test_delta_arithmetic():
-    a, b = Delta(F(1, 2), 1), Delta(F(1, 3), -2)
-    assert a + b == Delta(F(5, 6), -1)
-    assert a - b == Delta(F(1, 6), 3)
-    assert a.scale(F(2)) == Delta(F(1), 2)
+    a, b = delta(F(1, 2), 1), delta(F(1, 3), -2)
+    assert a == (1, 2, 2) and b == (1, -6, 3)
+    assert add_scaled(a, b, 1, 1) == delta(F(5, 6), -1) == (5, -6, 6)
+    assert sub(a, b) == delta(F(1, 6), 3) == (1, 18, 6)
+    assert add_scaled(delta(0), a, 2, 1) == delta(F(1), 2) == (1, 2, 1)
+
+
+def lowest(t) -> bool:
+    """`t` is an int triple (r, k, d) with d > 0 and gcd(r, k, d) == 1."""
+    return (type(t) is tuple and len(t) == 3
+            and all(type(i) is int for i in t) and t[2] > 0 and gcd(*t) == 1)
+
+
+fractions = st.builds(Fraction, st.integers(-10**9, 10**9),
+                      st.integers(1, 10**6))
+ints = st.integers(-10**6, 10**6)
+
+
+@given(fractions, ints, fractions, ints, st.booleans(), ints,
+       st.integers(1, 10**6))
+def test_triples_agree_with_fraction_pairs(r1, k1, r2, k2, same_real, c, e):
+    # the kernel operations against the Fraction-pair `Delta` they replaced
+    if same_real:
+        r2 = r1         # so the eps parts decide the order
+    a, b = delta(r1, k1), delta(r2, k2)
+    da, db = reference_lra.Delta(r1, k1), reference_lra.Delta(r2, k2)
+    pairs = [(a, da), (b, db), (sub(a, b), da - db),
+             (add_scaled(a, b, c, e), da + db.scale(F(c, e)))]
+    for got, want in pairs:
+        assert lowest(got)
+        assert reference_lra.of_triple(got) == want
+    for (x, dx), (y, dy) in itertools.product(pairs, repeat=2):
+        assert lt(x, y) == (dx < dy)
 
 
 # -- simplex engine ---------------------------------------------------------------
@@ -33,18 +66,18 @@ def test_delta_arithmetic():
 def test_simple_bounds_conflict():
     s = Simplex()
     x = s.new_var()
-    s.assert_lower(x, Delta(F(1)))
+    s.assert_lower(x, delta(F(1)))
     with pytest.raises(Infeasible):
-        s.assert_upper(x, Delta(F(0)))
+        s.assert_upper(x, delta(F(0)))
 
 
 def test_row_feasibility():
     s = Simplex()
     x, y = s.new_var(), s.new_var()
     t = s.slack_for({x: F(1), y: F(1)})
-    s.assert_lower(t, Delta(F(1)))
-    s.assert_upper(x, Delta(F(1, 4)))
-    s.assert_upper(y, Delta(F(1, 4)))
+    s.assert_lower(t, delta(F(1)))
+    s.assert_upper(x, delta(F(1, 4)))
+    s.assert_upper(y, delta(F(1, 4)))
     assert not s.check()
 
 
@@ -53,9 +86,9 @@ def test_strict_squeeze_infeasible():
     s = Simplex()
     x, y = s.new_var(), s.new_var()
     t = s.slack_for({x: F(1), y: F(-1)})
-    s.assert_lower(t, Delta(F(0), 1))   # x > y
+    s.assert_lower(t, delta(F(0), 1))   # x > y
     with pytest.raises(Infeasible):
-        s.assert_upper(t, Delta(F(0), -1))  # x < y
+        s.assert_upper(t, delta(F(0), -1))  # x < y
 
 
 def test_strict_cycle_through_two_forms_infeasible():
@@ -65,21 +98,21 @@ def test_strict_cycle_through_two_forms_infeasible():
     t1 = s.slack_for({x: F(1), w: F(-1)})
     t2 = s.slack_for({w: F(1), y: F(-1)})
     t3 = s.slack_for({y: F(1), x: F(-1)})
-    s.assert_lower(t1, Delta(F(0), 1))  # x > w
-    s.assert_lower(t2, Delta(F(0), 1))  # w > y
-    s.assert_lower(t3, Delta(F(0), 1))  # y > x
+    s.assert_lower(t1, delta(F(0), 1))  # x > w
+    s.assert_lower(t2, delta(F(0), 1))  # w > y
+    s.assert_lower(t3, delta(F(0), 1))  # y > x
     assert not s.check()
 
 
 def test_push_pop_restores_bounds():
     s = Simplex()
     x = s.new_var()
-    s.assert_lower(x, Delta(F(0)))
+    s.assert_lower(x, delta(F(0)))
     s.push()
-    s.assert_lower(x, Delta(F(2)))
+    s.assert_lower(x, delta(F(2)))
     assert s.check()
     s.pop()
-    s.assert_upper(x, Delta(F(1)))
+    s.assert_upper(x, delta(F(1)))
     assert s.check()
 
 
