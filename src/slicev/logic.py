@@ -11,7 +11,6 @@ real arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -443,13 +442,8 @@ def replacement_from_permutation(yids: Iterable[int]) -> Replacement:
     return Replacement((ZERO_KEY, *yids, ONE_KEY))
 
 
-def enumerate_replacements(yids: Iterable[int]) -> Iterator[Replacement]:
-    """All total orders of the mark variables strictly between 0 and 1."""
-    for perm in itertools.permutations(sorted(yids)):
-        yield replacement_from_permutation(perm)
-
-
-def _point_key(t: Term) -> Union[int, str]:
+def _point_key(t: Term) -> Union[int, str, None]:
+    """The order element a point atom stands for; None for any other term."""
     if isinstance(t, YVar):
         return t.mark_id
     if isinstance(t, Const):
@@ -457,7 +451,7 @@ def _point_key(t: Term) -> Union[int, str]:
             return ZERO_KEY
         if t.value == 1:
             return ONE_KEY
-    raise PointAtomNotInS(f"point atom {t!r} outside the replacement order")
+    return None
 
 
 def _z_for(agent: int, element: Union[int, str]) -> ZVar:
@@ -586,33 +580,25 @@ def is_linear(f: Formula) -> bool:
 # Replacement pruning
 # ---------------------------------------------------------------------------
 
-def ordering_facts(simplified_constraint: Formula
-                   ) -> tuple[list[tuple], list[tuple]]:
+def ordering_facts(constraint: Formula) -> tuple[list[tuple], list[tuple]]:
     """Point-order facts conjunctively implied by a path constraint.
 
     Returns (non-strict, strict) lists of (lo, hi) element-key pairs.  Only
     top-level conjuncts whose sides are point atoms contribute.
     """
     nonstrict, strict = [], []
-
-    def key(t: Term):
-        try:
-            return _point_key(t)
-        except PointAtomNotInS:
-            return None
-
-    for item in conjuncts(simplified_constraint):
+    for item in conjuncts(constraint):
         if isinstance(item, GeF):
-            a, b = key(item.right), key(item.left)
+            a, b = _point_key(item.right), _point_key(item.left)
             if a is not None and b is not None:
                 nonstrict.append((a, b))          # right <= left
         elif isinstance(item, EqF):
-            a, b = key(item.left), key(item.right)
+            a, b = _point_key(item.left), _point_key(item.right)
             if a is not None and b is not None:
                 nonstrict.append((a, b))
                 nonstrict.append((b, a))
         elif isinstance(item, NotF) and isinstance(item.arg, GeF):
-            a, b = key(item.arg.left), key(item.arg.right)
+            a, b = _point_key(item.arg.left), _point_key(item.arg.right)
             if a is not None and b is not None:
                 strict.append((a, b))             # not(left >= right): left < right
     return nonstrict, strict
@@ -622,9 +608,13 @@ def compatible_replacements(yids: Iterable[int], facts: tuple[list, list]
                             ) -> list[Replacement]:
     """Total orders consistent with the implied point ordering.
 
-    Non-strict facts admit ties; for a tied pair the order with the smaller
-    mark id first stands in for both, which keeps exactly one witness order
-    per tie pattern.  An empty result means the constraint itself forces an
+    The orders are the linear extensions of the reach preorder, built depth
+    first: the next mark is any unplaced one whose predecessors are all
+    placed, tried in increasing id order, so the orders come out
+    lexicographically.  Non-strict facts admit ties; for a tied pair the
+    order with the smaller mark id first stands in for both, which keeps
+    exactly one witness order per tie pattern.  With no facts every order
+    is kept.  An empty result means the constraint itself forces an
     impossible ordering, so every replacement's condition is vacuous.
     """
     yids = sorted(yids)
@@ -650,26 +640,25 @@ def compatible_replacements(yids: Iterable[int], facts: tuple[list, list]
     for a, b in strict:
         if a in idx and b in idx and reach[idx[b]][idx[a]]:
             return []  # a < b and b <= a together are unsatisfiable
-    out = []
-    for perm in itertools.permutations(yids):
-        pos = {e: i for i, e in enumerate(perm)}
-        ok = True
-        for x, y in itertools.combinations(yids, 2):
-            le = reach[idx[x]][idx[y]]
-            ge = reach[idx[y]][idx[x]]
-            if le and ge:
-                want = pos[x] < pos[y] if x < y else pos[y] < pos[x]
-            elif le:
-                want = pos[x] < pos[y]
-            elif ge:
-                want = pos[y] < pos[x]
-            else:
-                continue
-            if not want:
-                ok = False
-                break
-        if ok:
-            out.append(replacement_from_permutation(perm))
+    # y must come before x when y <= x, except that within a tie class
+    # (x <= y too) only the smaller id comes first
+    before = {x: {y for y in yids if y != x and reach[idx[y]][idx[x]]
+                  and (y < x or not reach[idx[x]][idx[y]])} for x in yids}
+    out, order, placed = [], [], set()
+
+    def place() -> None:
+        if len(order) == len(yids):
+            out.append(replacement_from_permutation(order))
+            return
+        for x in yids:
+            if x not in placed and before[x] <= placed:
+                order.append(x)
+                placed.add(x)
+                place()
+                placed.remove(x)
+                order.pop()
+
+    place()
     return out
 
 

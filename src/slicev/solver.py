@@ -17,6 +17,7 @@ solver named any other way) runs as a child process over pipes
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import shutil
@@ -34,8 +35,8 @@ from .interp import EnvyWitness, check_envy_free, evaluate
 from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, ImpF, NotF, OrF,
     Replacement, ScaleT, Term, TrueF, Translated, YVar, ZVar, ONE_KEY,
-    ZERO_KEY, build_vc, compatible_replacements, enumerate_replacements,
-    ordering_facts, replacement_variables, translate,
+    ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
+    replacement_variables, translate,
 )
 from .paths import Path, enumerate_paths
 from .syntax import Program
@@ -464,15 +465,11 @@ class VerifyResult:
 
 def path_replacements(tr: Translated, prune: bool
                       ) -> tuple[list[Replacement], int]:
-    """Replacements to check for one path plus how many the pruning skipped."""
-    total = 1
-    for i in range(2, len(tr.mark_ids) + 1):
-        total *= i
-    if not prune:
-        return list(enumerate_replacements(tr.mark_ids)), 0
-    facts = ordering_facts(tr.constraint)
+    """Replacements to check for one path plus how many the pruning skipped;
+    without pruning every order of the path's marks is kept."""
+    facts = ordering_facts(tr.constraint) if prune else ([], [])
     kept = compatible_replacements(tr.mark_ids, facts)
-    return kept, total - len(kept)
+    return kept, math.factorial(len(tr.mark_ids)) - len(kept)
 
 
 Outcome = Optional[Union[Counterexample, SolverVerdictUnknown]]

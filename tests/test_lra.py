@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_lra
+from slicev import smtlib
 from slicev.lra import Infeasible, Simplex, add_scaled, delta, lt, sub
 from slicev.smtlib import (
     SolverState, check_assertions, format_rational, parse_rational,
@@ -289,7 +290,25 @@ def _eval(f, model):
     return any(_eval(p, model) for p in f[1])
 
 
-def test_randomized_against_oracle():
+# per check; none of these random formulas needs more than a handful
+MAX_PIVOTS = 1_000
+
+
+class CappedSimplex(Simplex):
+    """`Simplex` that fails after MAX_PIVOTS pivots instead of cycling."""
+
+    def __init__(self):
+        super().__init__()
+        self.pivots = 0
+
+    def _pivot(self, *args):
+        self.pivots += 1
+        assert self.pivots <= MAX_PIVOTS, "pivot limit reached"
+        super()._pivot(*args)
+
+
+def test_randomized_against_oracle(monkeypatch):
+    monkeypatch.setattr(smtlib, "Simplex", CappedSimplex)
     rng = random.Random(101)
     grid = [F(x, 2) for x in range(-6, 7)]
     for _ in range(700):
