@@ -19,11 +19,11 @@ from fractions import Fraction
 
 from .core import SliceError
 from .interp import check_envy_free, evaluate
-from .logic import translate
+from .logic import VCTable, translate
 from .paths import count_paths, enumerate_paths
 from .solver import (
-    Counterexample, SolverError, VerifyConfig, build_vc, path_replacements,
-    replay_counterexample, verify_program, write_query,
+    Counterexample, SolverError, VerifyConfig, build_vc, emit_smt,
+    path_replacements, replay_counterexample, verify_program, write_query,
 )
 from .syntax import Program, SliceSyntaxError, parse, pretty
 from .typecheck import check_wellformed, typecheck
@@ -118,13 +118,14 @@ def cmd_compile(args) -> int:
         for v in violations:
             print(f"{args.file}: {v.code}: {v.message}", file=sys.stderr)
         return EXIT_VIOLATION
-    queries = 0
+    queries, table = 0, VCTable()
     for path in enumerate_paths(program.body):
         tr = translate(path.expr)
         replacements, _pruned = path_replacements(tr, not args.all_orders)
         for s in replacements:
+            vc = build_vc(tr, s, program.agents, table)
             write_query(args.out, path.index, s,
-                        build_vc(tr, s, program.agents), program.agents)
+                        emit_smt(vc, program.agents, standalone=False))
             queries += 1
     msg = {"file": args.file, "queries": queries, "out": args.out}
     print(json.dumps(msg) if args.json else

@@ -11,7 +11,7 @@ real arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -209,6 +209,23 @@ def rebuild(x: Node, new: Iterable[Node]) -> Node:
     if isinstance(x, ProjT):
         return ProjT(x.index, *new)
     raise LogicError(f"unknown node {x!r}")
+
+
+def label(x: Node):
+    """The fields of `x` besides its `parts`; None when it has none."""
+    if isinstance(x, Const):
+        return x.value
+    if isinstance(x, YVar):
+        return x.mark_id
+    if isinstance(x, ZVar):
+        return (x.agent, x.key)
+    if isinstance(x, ScaleT):
+        return x.coeff
+    if isinstance(x, ValT):
+        return x.agent
+    if isinstance(x, ProjT):
+        return x.index
+    return None
 
 
 def subterms(x: Node) -> Iterator[Node]:
@@ -558,13 +575,93 @@ class VC:
     antecedent: Formula       # S(R(c(b))) /\ psi(S)
     negated_goal: Formula     # Not(S(R(E(rho(b)))))
     replacement: Replacement
+    # The run's tables, which hold every conjunct of `antecedent` and of the
+    # negated goal.  Not part of the condition; set only by `build_vc`, so
+    # `dataclasses.replace`, which could swap in other conjuncts, drops it.
+    table: Optional[VCTable] = field(default=None, init=False, compare=False,
+                                     repr=False)
 
 
-def build_vc(tr: Translated, s: Replacement, n_agents: int) -> VC:
-    side = order_formula(s, n_agents)
-    premise = apply_replacement(s, conj([tr.constraint, side]))
-    goal = apply_replacement(s, envy_formula(tr.result, n_agents))
-    return VC(ImpF(premise, goal), premise, NotF(goal), s)
+class VCTable:
+    """The tables of one verification run (a `verify_program` call, or one
+    pool worker), so that each distinct conjunct is replaced once per order
+    and each order's side formula is built once.
+
+    Replaced nodes are hash-consed (Filliatre & Conchon, ML 2006): equal
+    subtrees are one object, found by a key of the node's own fields and the
+    identities of its already interned children, so no lookup rehashes a
+    tree.  A path's conjuncts are hashed once per path, to find their
+    replacements so far.  `texts` keeps the SMT-LIB text of each interned
+    conjunct for `solver.emit_smt`, by id.
+    """
+
+    def __init__(self):
+        self.nodes: dict = {}      # (type, label, child ids) -> interned node
+        self.replaced: dict = {}   # path conjunct -> {order: interned node}
+        self.sides: dict = {}      # (order, n_agents) -> interned conjuncts
+        self.texts: dict = {}      # id(interned conjunct) -> SMT-LIB text
+        self._path = None          # (translation, n_agents, pairs, pairs)
+
+    def intern(self, x: Node) -> Node:
+        kids = [self.intern(p) for p in parts(x)]
+        key = (type(x), label(x), *map(id, kids))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = rebuild(x, kids)
+        return node
+
+    def path_conjuncts(self, tr: Translated, n_agents: int
+                       ) -> tuple[list[tuple], list[tuple]]:
+        """The conjuncts of the path's constraint and of its envy goal, each
+        paired with its replacements so far; worked out once per path."""
+        if self._path is None or self._path[0] is not tr \
+                or self._path[1] != n_agents:
+            done = self.replaced.setdefault
+            goal = envy_formula(tr.result, n_agents)
+            self._path = (tr, n_agents,
+                          [(c, done(c, {})) for c in conjuncts(tr.constraint)],
+                          [(c, done(c, {})) for c in conjuncts(goal)])
+        return self._path[2], self._path[3]
+
+    def replace(self, s: Replacement, source: tuple) -> Formula:
+        """`apply_replacement(s, c)`, interned, for a pair `(c, done)` that
+        `path_conjuncts` returned."""
+        c, done = source
+        node = done.get(s.order)
+        if node is None:
+            node = done[s.order] = self.intern(apply_replacement(s, c))
+        return node
+
+    def side(self, s: Replacement, n_agents: int) -> list[Formula]:
+        """The conjuncts of `order_formula(s, n_agents)`, interned."""
+        key = (s.order, n_agents)
+        side = self.sides.get(key)
+        if side is None:
+            side = self.sides[key] = [
+                self.intern(f) for f in conjuncts(order_formula(s, n_agents))]
+        return side
+
+    def conj(self, items: list[Formula]) -> Formula:
+        """The conjunction of interned `items`, shaped as `conj` shapes the
+        conjunction of the conjuncts they replace."""
+        if not items:
+            return self.intern(TrueF())
+        return items[0] if len(items) == 1 else AndF(tuple(items))
+
+
+def build_vc(tr: Translated, s: Replacement, n_agents: int,
+             table: Optional[VCTable] = None) -> VC:
+    """The condition of one (path, replacement) pair: the premise replaces
+    the constraint conjoined with `order_formula`, the goal replaces
+    `envy_formula`.  Built through the run's `table`, or a new one."""
+    table = table or VCTable()
+    constraint, goal = table.path_conjuncts(tr, n_agents)
+    premise = table.conj([table.replace(s, c) for c in constraint]
+                         + table.side(s, n_agents))
+    goal = table.conj([table.replace(s, c) for c in goal])
+    vc = VC(ImpF(premise, goal), premise, NotF(goal), s)
+    object.__setattr__(vc, "table", table)
+    return vc
 
 
 _LINEAR = (Const, YVar, ZVar, AddT, ScaleT,

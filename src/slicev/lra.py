@@ -90,6 +90,7 @@ class Simplex:
         # is sum(coeff * x) / den[basic], with den[basic] > 0
         self.rows: dict[int, dict[int, int]] = {}
         self.den: dict[int, int] = {}
+        # (var, numerator, denominator) triples of a form -> its slack
         self.slack_by_form: dict[tuple, int] = {}
         self.trail: list[tuple] = []
         self.marks: list[int] = []
@@ -105,9 +106,12 @@ class Simplex:
         return idx
 
     def slack_for(self, form: dict[int, Fraction]) -> int:
-        key = tuple(sorted(form.items()))
-        if key in self.slack_by_form:
-            return self.slack_by_form[key]
+        # keyed by ints, as hashing a `Fraction` is slow
+        key = tuple(sorted((x, c.numerator, c.denominator)
+                           for x, c in form.items()))
+        s = self.slack_by_form.get(key)
+        if s is not None:
+            return s
         s = self.new_var()
         # Rows may only mention non-basic variables: substitute the current
         # row of any variable that is basic right now, over the common

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .lra import Infeasible, Simplex, delta
 
-Sexpr = Union[str, list]
+Sexpr = Union[str, tuple]
 
 
 # A token is a parenthesis, a string literal (its quotes included) or a
@@ -31,20 +31,24 @@ def tokenize_sexprs(text: str) -> list[str]:
 
 
 def parse_sexprs(text: str) -> list[Sexpr]:
-    stack: list[list] = [[]]
+    """The s-expressions of `text`, each list a tuple, so it can be a key."""
+    stack: list[list] = []
+    items: list = []
     for tok in tokenize_sexprs(text):
         if tok == "(":
-            stack.append([])
+            stack.append(items)
+            items = []
         elif tok == ")":
-            done = stack.pop()
             if not stack:
                 raise ValueError("unbalanced ')'")
-            stack[-1].append(done)
+            done = tuple(items)
+            items = stack.pop()
+            items.append(done)
         else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
+            items.append(tok)
+    if stack:
         raise ValueError("unbalanced '('")
-    return stack[0]
+    return items
 
 
 def read_balanced(stream) -> Optional[str]:
@@ -108,16 +112,66 @@ def format_rational(x: Fraction) -> str:
     return f"(/ {x.numerator} {x.denominator})"
 
 
+def _names(s: Sexpr) -> list[str]:
+    """The constants a term or comparison mentions, in the order lowering
+    looks them up; operators and numbers are not constants."""
+    if isinstance(s, str):
+        return [] if _exact(s) is not None else [s]
+    return [name for part in s[1:] for name in _names(part)]
+
+
 # Formula representation after parsing: ("atom", op, {var: coeff}, const)
 # with op in {"<=", "<", ">=", ">", "="} meaning  sum coeffs*vars  op  const,
 # or ("and"/"or", [children]), ("not", child), "true"/"false".
 
 
-class SolverState:
+class AtomTable:
+    """The comparisons lowered so far, for `SolverState`s to share, so each
+    distinct one is lowered once.  An entry keeps its s-expression, names
+    and numbers as copies shared with the other entries, so a part that
+    many comparisons have, such as `(* (- 1) z1_y0)`, is kept once."""
+
     def __init__(self):
+        self.lowered: dict = {}    # comparison -> atom
+        # comparison -> the constants it mentions, where they are not the
+        # keys of its atom's coefficients, as in (= (- x x) 0)
+        self.cancelled: dict = {}
+        self._copies: dict = {}    # s-expression or number -> kept copy
+
+    def _keep(self, x):
+        if isinstance(x, tuple):
+            x = tuple(map(self._keep, x))
+        return self._copies.setdefault(x, x)
+
+    def add(self, s: tuple, atom: tuple, names: list[str]) -> tuple:
+        """Enter comparison `s`, lowered to `atom`; `names` are the
+        constants it mentions.  Returns the atom as kept."""
+        _kind, op, coeffs, const = atom
+        keep = self._keep
+        coeffs = {keep(v): keep(c) for v, c in coeffs.items()}
+        atom = ("atom", op, coeffs, keep(const))
+        s = keep(s)
+        self.lowered[s] = atom
+        names = list(dict.fromkeys(names))
+        if names != list(coeffs):
+            self.cancelled[s] = tuple(map(keep, names))
+        return atom
+
+    def constants(self, s: tuple, atom: tuple):
+        """The constants comparison `s`, lowered to `atom`, mentions."""
+        return (self.cancelled.get(s) if self.cancelled else None) or atom[2]
+
+
+class SolverState:
+    """Declarations and assertions in push/pop frames.  Comparisons are
+    lowered through `atoms`, which states may share; every later use of a
+    comparison only checks that its constants are declared."""
+
+    def __init__(self, atoms: Optional[AtomTable] = None):
         self.frames: list[list] = [[]]        # stacked assertion lists
         self.declared: list[set] = [set()]    # stacked declaration sets
         self.last_model: Optional[dict] = None
+        self.atoms = AtomTable() if atoms is None else atoms
 
     # -- declarations --------------------------------------------------------
 
@@ -125,7 +179,10 @@ class SolverState:
         self.declared[-1].add(name)
 
     def is_declared(self, name: str) -> bool:
-        return any(name in frame for frame in self.declared)
+        for frame in self.declared:
+            if name in frame:
+                return True
+        return False
 
     def all_assertions(self) -> list:
         out = []
@@ -241,15 +298,22 @@ class SolverState:
                 f = ("or", [("not", f), self.formula(part)])
             return f
         if head in ("<=", "<", ">=", ">", "="):
+            atom = self.atoms.lowered.get(s)
+            if atom is not None:
+                for name in self.atoms.constants(s, atom):
+                    if not self.is_declared(name):
+                        raise ValueError(f"unknown constant {name!r}")
+                return atom
             # both sides into one dict:  coeffs . vars  head  const
             coeffs: dict = {}
             const = -self._add_linear(s[1], 1, coeffs)
             const -= self._add_linear(s[2], -1, coeffs)
             if len(s) > 3:
                 raise ValueError("chained comparisons unsupported")
-            return ("atom", head,
+            return self.atoms.add(
+                s, ("atom", head,
                     {v: Fraction(x) for v, x in coeffs.items() if x},
-                    Fraction(const))
+                    Fraction(const)), _names(s))
         raise ValueError(f"unsupported formula {s!r}")
 
 
@@ -392,7 +456,7 @@ def run_command(state: SolverState, cmd: Sexpr, out) -> bool:
         state.declare(cmd[1])
         return True
     if head == "declare-fun":
-        if cmd[2] != [] or cmd[3] != "Real":
+        if cmd[2] not in ((), []) or cmd[3] != "Real":
             raise ValueError("only nullary Real functions supported")
         state.declare(cmd[1])
         return True

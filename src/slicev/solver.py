@@ -34,8 +34,8 @@ from .core import SliceError, Value
 from .interp import EnvyWitness, check_envy_free, evaluate
 from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, ImpF, NotF, OrF,
-    Replacement, ScaleT, Term, TrueF, Translated, YVar, ZVar, ONE_KEY,
-    ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
+    Replacement, ScaleT, Term, TrueF, Translated, VCTable, YVar, ZVar,
+    ONE_KEY, ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
     replacement_variables, translate,
 )
 from .paths import Path, enumerate_paths
@@ -105,31 +105,49 @@ def smt_formula(f: Formula) -> str:
     raise SolverError(f"cannot emit {f!r}")
 
 
+_HEADER = "(set-logic QF_LRA)\n(set-option :produce-models true)\n"
+
+
+def _text(f: Formula, texts: Optional[dict]) -> str:
+    """`smt_formula(f)`.  With `texts`, the text table of the run that built
+    `f`, each conjunct of `f` (of its argument, for a negation) is printed
+    once per run."""
+    if texts is None:
+        return smt_formula(f)
+    if isinstance(f, NotF):
+        return f"(not {_text(f.arg, texts)})"
+    out = []
+    for item in f.items if isinstance(f, AndF) else (f,):
+        text = texts.get(id(item))      # interned: its id stays its own
+        if text is None:
+            text = texts[id(item)] = smt_formula(item)
+        out.append(text)
+    return "(and " + " ".join(out) + ")" if isinstance(f, AndF) else out[0]
+
+
 def emit_smt(vc: VC, n_agents: int, standalone: bool = True) -> str:
     """Negation query for one verification condition; unsat means valid.
     A node outside linear real arithmetic raises `SolverError`."""
+    texts = vc.table.texts if vc.table is not None else None
     ys, zs = replacement_variables(vc.replacement, n_agents)
-    lines = []
-    if standalone:
-        lines.append("(set-logic QF_LRA)")
-        lines.append("(set-option :produce-models true)")
-    for v in [*ys, *zs]:
-        lines.append(f"(declare-const {smt_name(v)} Real)")
-    lines.append(f"(assert {smt_formula(vc.antecedent)})")
-    lines.append(f"(assert {smt_formula(vc.negated_goal)})")
+    lines = [f"(declare-const {smt_name(v)} Real)" for v in [*ys, *zs]]
+    lines.append(f"(assert {_text(vc.antecedent, texts)})")
+    lines.append(f"(assert {_text(vc.negated_goal, texts)})")
     lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
+    return (_HEADER if standalone else "") + "\n".join(lines) + "\n"
 
 
-def write_query(directory: str, index: int, s: Replacement, vc: VC,
-                n_agents: int) -> None:
-    """Write one query file, headed by its path and order, into `directory`."""
+def write_query(directory: str, index: int, s: Replacement,
+                body: str) -> None:
+    """Write one query file into `directory`: a comment naming its path and
+    order, the logic header, then `body`, the query `emit_smt` gives with
+    `standalone=False`."""
     perm = "_".join(str(e) for e in s.order[1:-1]) or "none"
     name = f"path{index:05d}_order_{perm}.smt2"
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, name), "w") as fh:
         fh.write(f"; path {index}, order {s.describe()}\n")
-        fh.write(emit_smt(vc, n_agents))
+        fh.write(_HEADER + body)
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +172,24 @@ def default_solver_command() -> list[str]:
 class BundledSolver:
     """The bundled solver inside this process: each query's text goes
     through the parser and search `slicev-smt` runs, from a fresh
-    `SolverState`, so a failed query leaves nothing behind."""
+    `SolverState`, so a failed query leaves nothing behind.  The states
+    share one `smtlib.AtomTable`, so each distinct comparison is lowered
+    once per solver."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
+        self.atoms = None
 
     def check(self, query: str) -> tuple[str, Optional[dict]]:
         from . import smtlib   # kept out of `import slicev`
         deadline = time.monotonic() + self.timeout
-        state = smtlib.SolverState()
+        if self.atoms is None:
+            self.atoms = smtlib.AtomTable()
+        state = smtlib.SolverState(self.atoms)
         answer = None
         try:
             for cmd in smtlib.parse_sexprs(query):
-                if cmd == ["check-sat"]:
+                if cmd == ("check-sat",):
                     answer = state.check_sat(deadline)
                 else:   # declarations and assertions print nothing
                     smtlib.run_command(state, cmd, sys.stderr)
@@ -312,7 +335,7 @@ def parse_model(text: str) -> dict[str, Fraction]:
         sexpr = sexpr[1:]
     out = {}
     for item in sexpr:
-        if not isinstance(item, list) or item[0] != "define-fun":
+        if not isinstance(item, tuple) or item[0] != "define-fun":
             continue
         name = item[1]
         value = parse_rational(item[-1])
@@ -476,19 +499,20 @@ Outcome = Optional[Union[Counterexample, SolverVerdictUnknown]]
 
 
 def _check_path(proc: Solver, path: Path, n_agents: int,
-                config: VerifyConfig) -> tuple[Outcome, VerifyStats]:
+                config: VerifyConfig, table: VCTable
+                ) -> tuple[Outcome, VerifyStats]:
     stats = VerifyStats(paths=1)
     t0 = time.monotonic()
     tr = translate(path.expr)
     replacements, stats.orders_pruned = path_replacements(tr, config.prune)
-    built = [(s, build_vc(tr, s, n_agents)) for s in replacements]
+    built = [(s, build_vc(tr, s, n_agents, table)) for s in replacements]
     stats.translate_seconds += time.monotonic() - t0
 
     t1 = time.monotonic()
     for s, vc in built:
         query = emit_smt(vc, n_agents, standalone=False)
         if config.dump_dir:
-            write_query(config.dump_dir, path.index, s, vc, n_agents)
+            write_query(config.dump_dir, path.index, s, query)
         stats.queries += 1
         try:
             verdict, model = check_query(proc, query)
@@ -524,17 +548,17 @@ def _confirm(model: dict, s: Replacement, tr: Translated, path: Path,
     return Counterexample(vs, table, path.index, witness, run.value)
 
 
-# A pool worker's (config, n_agents, stop event), and its solver: started on
-# the first path, as a `Pool` whose initializer raises starts new workers
-# forever, and closed when the worker exits.
-_job = _proc = None
+# A pool worker's (config, n_agents, stop event) and its run's `VCTable`,
+# and its solver: started on the first path, as a `Pool` whose initializer
+# raises starts new workers forever, and closed when the worker exits.
+_job = _table = _proc = None
 
 
 def _start_worker(*job) -> None:
     # Ctrl-C is left to the parent, which stops the pool as on any exit.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _job
-    _job = job
+    global _job, _table
+    _job, _table = job, VCTable()
 
 
 def _check_in_worker(path: Path) -> tuple[Outcome, VerifyStats]:
@@ -546,7 +570,7 @@ def _check_in_worker(path: Path) -> tuple[Outcome, VerifyStats]:
         from multiprocessing.util import Finalize
         _proc = start_solver(config)
         Finalize(None, _proc.close, exitpriority=0)
-    return _check_path(_proc, path, n_agents, config)
+    return _check_path(_proc, path, n_agents, config, _table)
 
 
 def verify_program(program: Program, config: Optional[VerifyConfig] = None,
@@ -562,9 +586,10 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
             + "; ".join(v.message for v in violations))
     paths = enumerate_paths(program.body)
     if config.jobs <= 1:
-        proc = start_solver(config)
+        proc, table = start_solver(config), VCTable()
         try:
-            return _collect((_check_path(proc, path, program.agents, config)
+            return _collect((_check_path(proc, path, program.agents, config,
+                                         table)
                              for path in paths), config.exhaustive)
         finally:
             proc.close()

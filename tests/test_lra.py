@@ -180,6 +180,62 @@ def test_unsupported_command_reports_error():
     assert got.startswith("(error")
 
 
+def test_parsed_lists_are_tuples():
+    assert parse_sexprs("(a (b c) ()) d") == [("a", ("b", "c"), ()), "d"]
+
+
+def test_declare_fun_takes_an_empty_signature():
+    got = run_script("""
+        (declare-fun x () Real) (declare-fun y () Real)
+        (assert (< x y)) (assert (> x 0)) (check-sat)
+        (declare-fun f (Real) Real)
+    """)
+    assert got.splitlines() == [
+        "sat", '(error "only nullary Real functions supported")']
+
+
+def test_states_sharing_atoms_still_check_declarations():
+    atoms = smtlib.AtomTable()
+    first, second = SolverState(atoms), SolverState(atoms)
+    (atom,) = parse_sexprs("(>= (+ x (* 2 y) (- y y)) 1)")
+    for name in ("x", "y"):
+        first.declare(name)
+    lowered = first.formula(atom)
+    assert lowered == ("atom", ">=", {"x": F(1), "y": F(2)}, F(1))
+    assert len(atoms.lowered) == 1
+    second.declare("x")
+    with pytest.raises(ValueError, match="unknown constant 'y'"):
+        second.formula(atom)
+    second.declare("y")
+    assert second.formula(atom) is lowered
+
+
+def run_slicev_smt(monkeypatch, capsys, text: str) -> list[str]:
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert smtlib.main() == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_slicev_smt_push_pop_and_reset(monkeypatch, capsys):
+    # each comparison is lowered once; the later uses after a pop or a
+    # reset must still find its constants undeclared
+    got = run_slicev_smt(monkeypatch, capsys, """
+        (declare-const x Real)
+        (push 1) (assert (> x 1)) (check-sat)
+        (assert (< x 1)) (check-sat) (pop 1)
+        (check-sat)
+        (push 1) (declare-const y Real) (assert (> y x)) (check-sat) (pop 1)
+        (assert (> y x))
+        (check-sat)
+        (reset)
+        (assert (> x 1))
+        (declare-const x Real) (assert (> x 1)) (assert (< x 1)) (check-sat)
+    """)
+    assert got == ["sat", "unsat", "sat", "sat",
+                   '(error "unknown constant \'y\'")', "sat",
+                   '(error "unknown constant \'x\'")', "unsat"]
+
+
 # -- term and atom lowering -----------------------------------------------------
 
 # term -> (coefficients, constant), as the recursive lowering that copied

@@ -13,12 +13,12 @@ from slicev.logic import (
     YVar, ZVar, build_vc, replacement_from_permutation, translate,
 )
 from slicev.paths import enumerate_paths
-from slicev import smtlib
+from slicev import smtlib, solver
 from slicev.solver import (
-    BundledSolver, Counterexample, SolverError, SolverProcess, VerifyConfig,
-    check_query, default_solver_command, emit_smt, extract_valuation_set,
-    parse_model, replay_counterexample, smt_name, start_solver,
-    verify_program,
+    BundledSolver, Counterexample, SolverDied, SolverError, SolverProcess,
+    VerifyConfig, check_query, default_solver_command, emit_smt,
+    extract_valuation_set, parse_model, replay_counterexample, smt_name,
+    start_solver, verify_program,
 )
 from slicev.syntax import parse
 
@@ -165,6 +165,47 @@ def test_bundled_solver_answers_after_a_failed_query(bad_programs,
     assert ([c.to_json() for c in res.counterexamples]
             == [c.to_json() for c in expected.counterexamples
                 if c.path_index != 0])
+
+
+def test_bundled_solver_answers_check_sat():
+    proc = BundledSolver()
+    answer, model = proc.check(
+        "(declare-const x Real)\n(assert (> x 1))\n(check-sat)\n")
+    assert answer == "sat" and model["x"] > 1
+    with pytest.raises(SolverDied, match="no check-sat"):
+        proc.check("(declare-const x Real)\n(assert (> x 1))\n")
+
+
+def test_cached_atom_with_an_undeclared_constant_fails():
+    proc = BundledSolver()
+    atom = "(assert (>= (+ x y) 1))\n(check-sat)\n"
+    declare = "(declare-const x Real)\n(declare-const y Real)\n"
+    assert proc.check(declare + atom)[0] == "sat"
+    with pytest.raises(SolverDied, match="unknown constant 'y'"):
+        proc.check("(declare-const x Real)\n" + atom)
+    assert proc.check(declare + atom)[0] == "sat"
+
+
+def test_undeclared_constant_in_a_later_query_gives_unknown(programs,
+                                                            monkeypatch):
+    # the first query lowers every comparison; a later one that leaves a
+    # constant undeclared must fail as it did before the atoms were cached
+    emit = solver.emit_smt
+    calls = []
+
+    def dropping(vc, n_agents, standalone=True):
+        calls.append(vc)
+        text = emit(vc, n_agents, standalone)
+        if len(calls) == 1:
+            return text
+        return text.replace("(declare-const y0 Real)\n", "")
+
+    monkeypatch.setattr(solver, "emit_smt", dropping)
+    res = verify_program(programs["cut_choose"], VerifyConfig(solver=BUNDLED))
+    assert res.verdict == "unknown" and len(calls) == 2
+    (unknown,) = res.unknowns
+    assert unknown.path_index == 1
+    assert "unknown constant 'y0'" in unknown.reason
 
 
 def test_crashed_solver_gives_unknown_with_reason(programs):
@@ -381,6 +422,34 @@ def test_dump_smt_writes_scripts(tmp_path, programs):
     text = (tmp_path / files[0]).read_text()
     assert text.startswith("; path 0")
     assert "(check-sat)" in text
+
+
+def test_dump_smt_prints_each_query_once_as_compile_does(tmp_path,
+                                                         monkeypatch):
+    source = GOOD_PROTOCOLS["waste_makes_haste3"]
+    compiled = tmp_path / "compiled"
+    run = subprocess.run(
+        [sys.executable, "-m", "slicev.cli", "compile", str(source),
+         "--out", str(compiled)],
+        capture_output=True, text=True, cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert run.returncode == 0, run.stderr
+    emit, texts = solver.emit_smt, []
+
+    def counting(*args, **kwargs):
+        texts.append(emit(*args, **kwargs))
+        return texts[-1]
+
+    monkeypatch.setattr(solver, "emit_smt", counting)
+    dumped = tmp_path / "dumped"
+    res = verify_program(load(source), VerifyConfig(
+        solver=BUNDLED, dump_dir=str(dumped)))
+    assert res.verdict == "valid" and len(texts) == res.stats.queries
+    names = sorted(p.name for p in compiled.iterdir())
+    assert names == sorted(p.name for p in dumped.iterdir())
+    assert len(names) == res.stats.queries
+    for name in names:
+        assert (dumped / name).read_bytes() == (compiled / name).read_bytes()
 
 
 def test_counterexample_json_roundtrip(bad_programs):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from slicev import lra, smtlib, solver
 from slicev.solver import VerifyConfig, verify_program
 
-from conftest import BAD_PROTOCOLS, REPO, load
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, REPO, load
 
 # What `tracing.replay_queries` looks up besides `Tracer.TARGETS`.
 REPLAYED = ("smtlib.SolverState", "smtlib.parse_sexprs", "smtlib.run_command",
@@ -71,3 +71,25 @@ def test_check_query_receives_each_query_text(monkeypatch):
                 smtlib.run_command(state, cmd, out)
             assert out.getvalue().split()[-1] == answer
             smtlib.run_command(state, ["pop", "1"], out)
+
+
+def test_verify_calls_each_layer_once_per_query(monkeypatch):
+    # The tracer's `logic.build_vc_calls`, `solver.emit_s` and
+    # `solver.check_s` come from wrapping these module functions, so the
+    # verify loop must call each of them, not a table's method, per query.
+    program = load(GOOD_PROTOCOLS["waste_makes_haste3"])
+    calls = {name: 0 for name in ("build_vc", "emit_smt", "check_query")}
+
+    def counting(name):
+        fn = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    res = verify_program(program, VerifyConfig(prune=False))
+    assert res.verdict == "valid" and res.stats.queries > res.stats.paths
+    assert calls == dict.fromkeys(calls, res.stats.queries)

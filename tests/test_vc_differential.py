@@ -1,0 +1,121 @@
+"""The run tables (`logic.VCTable`, `smtlib.AtomTable`) against the
+table-free pipeline they replaced (`reference_vc`).  On every kept query of
+the twelve corpus protocols, pruned and with every order (on a sample of
+the paths of the larger protocols, `EVERY`), they must give `==`
+conditions, byte-identical query text and equal lowered atoms.  A run's
+tables must not reach the next run: verifying one protocol and then another
+in one process must give what a fresh process gives for the second."""
+
+import json
+import os
+import subprocess
+import sys
+from itertools import islice
+
+import pytest
+
+import reference_vc
+from slicev.logic import VCTable, build_vc, translate
+from slicev.paths import enumerate_paths
+from slicev.smtlib import AtomTable, SolverState, parse_sexprs
+from slicev.solver import emit_smt, path_replacements
+
+from conftest import BAD_PROTOCOLS, CORPUS, GOOD_PROTOCOLS, REPO, load
+
+PROTOCOLS = {**GOOD_PROTOCOLS, **BAD_PROTOCOLS}
+# every how many paths of a protocol are checked, pruned / every order
+EVERY = {True: {"selfridge_conway_full": 60, "scf_taker_cuts": 60},
+         False: {"selfridge_conway_full": 360, "scf_taker_cuts": 360,
+                 "selfridge_conway_surplus": 4,
+                 "scs_allocates_trimmings": 4, "scs_not_forced": 4}}
+QUERIES = {True: 820, False: 2214}
+
+
+@pytest.fixture(scope="module")
+def protocols():
+    return {name: load(path) for name, path in PROTOCOLS.items()}
+
+
+def kept_queries(name, program, prune):
+    paths = islice(enumerate_paths(program.body), 0, None,
+                   EVERY[prune].get(name, 1))
+    for path in paths:
+        tr = translate(path.expr)
+        for s in path_replacements(tr, prune)[0]:
+            yield tr, s
+
+
+def lowered_pairs(text, atoms):
+    """(with the table, table-free) lowering of each assertion of `text`."""
+    state, reference = SolverState(atoms), reference_vc.ReferenceState()
+    for cmd in parse_sexprs(text):
+        if cmd[0] == "declare-const":
+            state.declare(cmd[1])
+            reference.declare(cmd[1])
+        elif cmd[0] == "assert":
+            yield state.formula(cmd[1]), reference.formula(cmd[1])
+
+
+@pytest.mark.parametrize("prune", [True, False],
+                         ids=["pruned", "all_orders"])
+def test_tables_match_the_table_free_pipeline(protocols, prune):
+    queries = 0
+    for name, program in protocols.items():
+        n = program.agents
+        table, atoms = VCTable(), AtomTable()      # one run per protocol
+        uses = 0
+        for tr, s in kept_queries(name, program, prune):
+            vc = build_vc(tr, s, n, table)
+            old = reference_vc.build_vc(tr, s, n)
+            assert vc == old, (name, s.order)
+            text = emit_smt(vc, n, standalone=False)
+            assert text == reference_vc.emit_smt(old, n, standalone=False)
+            assert emit_smt(vc, n) == reference_vc.emit_smt(old, n)
+            for new, ref in lowered_pairs(text, atoms):
+                assert new == ref, (name, s.order)
+            uses += text.count("(>=") + text.count("(= ")
+            queries += 1
+        assert 0 < len(atoms.lowered) < uses, name
+    assert queries == QUERIES[prune]
+
+
+def test_equal_replaced_subtrees_are_one_object(protocols):
+    program = protocols["selfridge_conway_surplus"]
+    table = VCTable()
+    vcs = [build_vc(tr, s, program.agents, table)
+           for tr, s in islice(kept_queries("", program, True), 40)]
+    seen = {}
+    for vc in vcs:
+        for item in (*vc.antecedent.items, *vc.negated_goal.arg.items):
+            assert seen.setdefault(item, item) is item
+    assert len(seen) < sum(len(vc.antecedent.items) for vc in vcs)
+
+
+RUN = """
+import json, sys
+from slicev.syntax import parse
+from slicev.solver import VerifyConfig, verify_program
+for name in sys.argv[1:]:
+    res = verify_program(parse(open(name).read()), VerifyConfig())
+    s = res.stats
+    print(json.dumps({
+        "verdict": res.verdict,
+        "counterexamples": [c.to_json() for c in res.counterexamples],
+        "unknowns": [u.reason for u in res.unknowns],
+        "stats": [s.paths, s.queries, s.orders_pruned]}))
+"""
+
+
+def verify_in_one_process(*files):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", RUN, *map(str, files)],
+                         env=env, capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_a_run_leaves_nothing_for_the_next():
+    a = CORPUS / "selfridge_conway_surplus.slice"
+    b = CORPUS / "bad" / "scs_allocates_trimmings.slice"
+    together = verify_in_one_process(a, b, a)
+    assert together[1:] == verify_in_one_process(b) + verify_in_one_process(a)
+    assert [r["verdict"] for r in together] == ["valid", "invalid", "valid"]
