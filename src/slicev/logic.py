@@ -75,22 +75,6 @@ class TupleT(Term):
 
 
 @dataclass(frozen=True)
-class ProjT(Term):
-    index: int  # 1-based
-    tup: Term
-
-
-@dataclass(frozen=True)
-class LeftT(Term):
-    interval: Term
-
-
-@dataclass(frozen=True)
-class RightT(Term):
-    interval: Term
-
-
-@dataclass(frozen=True)
 class ValT(Term):
     agent: int
     piece: Term
@@ -154,12 +138,6 @@ class OrF(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
-class ImpF(Formula):
-    premise: Formula
-    conclusion: Formula
-
-
 # ---------------------------------------------------------------------------
 # Node shapes: every structural walk goes through `parts` and `rebuild`
 # ---------------------------------------------------------------------------
@@ -184,12 +162,6 @@ def parts(x: Node) -> tuple[Node, ...]:
         return (x.lo, x.hi)
     if isinstance(x, UnionT):
         return x.intervals
-    if isinstance(x, ImpF):
-        return (x.premise, x.conclusion)
-    if isinstance(x, ProjT):
-        return (x.tup,)
-    if isinstance(x, (LeftT, RightT)):
-        return (x.interval,)
     raise LogicError(f"unknown node {x!r}")
 
 
@@ -200,14 +172,12 @@ def rebuild(x: Node, new: Iterable[Node]) -> Node:
         return x
     if isinstance(x, ScaleT):
         return ScaleT(x.coeff, *new)
-    if isinstance(x, (AddT, GeF, EqF, NotF, ImpF, IntervalT, LeftT, RightT)):
+    if isinstance(x, (AddT, GeF, EqF, NotF, IntervalT)):
         return type(x)(*new)
     if isinstance(x, (AndF, OrF, TupleT, UnionT)):
         return type(x)(tuple(new))
     if isinstance(x, ValT):
         return ValT(x.agent, *new)
-    if isinstance(x, ProjT):
-        return ProjT(x.index, *new)
     raise LogicError(f"unknown node {x!r}")
 
 
@@ -223,8 +193,6 @@ def label(x: Node):
         return x.coeff
     if isinstance(x, ValT):
         return x.agent
-    if isinstance(x, ProjT):
-        return x.index
     return None
 
 
@@ -236,18 +204,24 @@ def subterms(x: Node) -> Iterator[Node]:
 
 
 def proj(index: int, t: Term) -> Term:
-    """The 1-based component of a tuple term, reduced when `t` is a tuple."""
-    return t.items[index - 1] if isinstance(t, TupleT) else ProjT(index, t)
+    """The 1-based component of a tuple term."""
+    if not isinstance(t, TupleT):
+        raise LogicError(f"projection of a non-tuple term {t!r}")
+    return t.items[index - 1]
 
 
 def left(t: Term) -> Term:
-    """Left endpoint of an interval term, reduced when `t` is an interval."""
-    return t.lo if isinstance(t, IntervalT) else LeftT(t)
+    """Left endpoint of an interval term."""
+    if not isinstance(t, IntervalT):
+        raise LogicError(f"left endpoint of a non-interval term {t!r}")
+    return t.lo
 
 
 def right(t: Term) -> Term:
-    """Right endpoint of an interval term, reduced when `t` is an interval."""
-    return t.hi if isinstance(t, IntervalT) else RightT(t)
+    """Right endpoint of an interval term."""
+    if not isinstance(t, IntervalT):
+        raise LogicError(f"right endpoint of a non-interval term {t!r}")
+    return t.hi
 
 
 def conj(items: Iterable[Formula]) -> Formula:
@@ -377,9 +351,9 @@ def translate(path_expr: Expr) -> Translated:
 
     Split bindings substitute projections of the scrutinee's term for the
     bound variables, like the logical substitution in the definition; the
-    walk's environment does it lazily.  The smart constructors `proj`,
-    `left` and `right` reduce as they build and boolean operators build
-    formulas, so the result and the constraint come out already reduced.
+    walk's environment does it lazily.  `proj`, `left` and `right` select
+    from the tuple or interval term they are given and boolean operators
+    build formulas, so the result and the constraint come out reduced.
     """
     tr = _Translator()
     result = tr.eval(path_expr, {})
@@ -397,22 +371,8 @@ def envy_formula(alloc: Term, n_agents: int) -> Formula:
 # Simplification
 # ---------------------------------------------------------------------------
 
-def simplify_term(t: Term) -> Term:
-    """Normal form of a hand-built term; `translate` already produces it."""
-    new = [simplify_term(p) for p in parts(t)]
-    if isinstance(t, ProjT):
-        return proj(t.index, new[0])
-    if isinstance(t, LeftT):
-        return left(new[0])
-    if isinstance(t, RightT):
-        return right(new[0])
-    return rebuild(t, new)
-
-
 def simplify(f: Node) -> Node:
-    """Reduce projections and endpoint selectors."""
-    if isinstance(f, Term):
-        return simplify_term(f)
+    """Flatten nested conjunctions; `translate` output has none."""
     new = [simplify(p) for p in parts(f)]
     return conj(new) if isinstance(f, AndF) else rebuild(f, new)
 
@@ -569,9 +529,9 @@ def replacement_variables(s: Replacement, n_agents: int
 
 @dataclass(frozen=True)
 class VC:
-    """One (path, replacement) verification condition, fully linear."""
+    """One (path, replacement) verification condition, fully linear: it
+    holds when `antecedent` and `negated_goal` are unsatisfiable together."""
 
-    formula: Formula          # S(R(c(b) /\ psi(S) => E(rho(b))))
     antecedent: Formula       # S(R(c(b))) /\ psi(S)
     negated_goal: Formula     # Not(S(R(E(rho(b)))))
     replacement: Replacement
@@ -659,13 +619,13 @@ def build_vc(tr: Translated, s: Replacement, n_agents: int,
     premise = table.conj([table.replace(s, c) for c in constraint]
                          + table.side(s, n_agents))
     goal = table.conj([table.replace(s, c) for c in goal])
-    vc = VC(ImpF(premise, goal), premise, NotF(goal), s)
+    vc = VC(premise, NotF(goal), s)
     object.__setattr__(vc, "table", table)
     return vc
 
 
 _LINEAR = (Const, YVar, ZVar, AddT, ScaleT,
-           TrueF, FalseF, GeF, EqF, NotF, AndF, OrF, ImpF)
+           TrueF, FalseF, GeF, EqF, NotF, AndF, OrF)
 
 
 def is_linear(f: Formula) -> bool:
@@ -741,22 +701,26 @@ def compatible_replacements(yids: Iterable[int], facts: tuple[list, list]
     # (x <= y too) only the smaller id comes first
     before = {x: {y for y in yids if y != x and reach[idx[y]][idx[x]]
                   and (y < x or not reach[idx[x]][idx[y]])} for x in yids}
-    out, order, placed = [], [], set()
-
-    def place() -> None:
-        if len(order) == len(yids):
-            out.append(replacement_from_permutation(order))
-            return
-        for x in yids:
-            if x not in placed and before[x] <= placed:
-                order.append(x)
-                placed.add(x)
-                place()
-                placed.remove(x)
-                order.pop()
-
-    place()
+    out: list[Replacement] = []
+    _extend(yids, before, [], set(), out)
     return out
+
+
+def _extend(yids: list[int], before: dict, order: list[int], placed: set,
+            out: list[Replacement]) -> None:
+    """Append to `out` every completion of the partial order `order` (whose
+    marks are `placed`).  A module function, not a closure, so a call
+    leaves no reference cycle behind."""
+    if len(order) == len(yids):
+        out.append(replacement_from_permutation(order))
+        return
+    for x in yids:
+        if x not in placed and before[x] <= placed:
+            order.append(x)
+            placed.add(x)
+            _extend(yids, before, order, placed, out)
+            placed.remove(x)
+            order.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -793,17 +757,10 @@ def eval_term(t: Term, vs: Optional[ValuationSet], assign: dict):
             IntervalVal(lo, hi) for lo, hi in _piece_of_term(t, assign)))
     if isinstance(t, TupleT):
         return TupleVal(tuple(eval_term(i, vs, assign) for i in t.items))
-    if isinstance(t, ProjT):
-        tup = eval_term(t.tup, vs, assign)
-        return tup.items[t.index - 1]
-    if isinstance(t, LeftT):
-        return eval_term(t.interval, vs, assign).lo
-    if isinstance(t, RightT):
-        return eval_term(t.interval, vs, assign).hi
     if isinstance(t, ValT):
         if vs is None:
             raise LogicError("valuation term without a valuation set")
-        merged = _piece_of_term(simplify_term(t.piece), assign)
+        merged = _piece_of_term(t.piece, assign)
         piece = PieceVal(tuple(IntervalVal(lo, hi) for lo, hi in merged))
         return val_eval(vs.agent(t.agent), piece)
     if isinstance(t, AddT):
@@ -830,15 +787,11 @@ def eval_formula(f: Formula, vs: Optional[ValuationSet], assign: dict) -> bool:
         return all(eval_formula(i, vs, assign) for i in f.items)
     if isinstance(f, OrF):
         return any(eval_formula(i, vs, assign) for i in f.items)
-    if isinstance(f, ImpF):
-        return (not eval_formula(f.premise, vs, assign)
-                or eval_formula(f.conclusion, vs, assign))
     raise LogicError(f"cannot evaluate {f!r}")
 
 
 def term_to_value(t: Term, assign: dict) -> Value:
     """Reconstruct the runtime value a result term denotes."""
-    t = simplify_term(t)
     if isinstance(t, Const):
         return PointVal(t.value)
     if isinstance(t, YVar):

@@ -248,39 +248,25 @@ class Simplex:
             if hit is None:
                 return True
             x, needs_raise = hit
+            target = self.lower[x] if needs_raise else self.upper[x]
+            sign = 1 if needs_raise else -1
             row = self.rows[x]
-            if needs_raise:
-                target = self.lower[x]
-                for j in sorted(row):
-                    c = row[j]
-                    if c > 0:
-                        up = self.upper[j]
-                        if up is None or lt(self.assign[j], up):
-                            self._pivot(x, j, target)
-                            break
-                    elif c < 0:
-                        lo = self.lower[j]
-                        if lo is None or lt(lo, self.assign[j]):
-                            self._pivot(x, j, target)
-                            break
+            # x moves toward `target` when a non-basic variable with a
+            # coefficient of that sign rises, or one of the other sign
+            # falls; rows hold no zero coefficients.  Bland's rule: the
+            # smallest such variable enters.
+            for j in sorted(row):
+                if row[j] * sign > 0:
+                    up = self.upper[j]
+                    free = up is None or lt(self.assign[j], up)
                 else:
-                    return False
+                    lo = self.lower[j]
+                    free = lo is None or lt(lo, self.assign[j])
+                if free:
+                    self._pivot(x, j, target)
+                    break
             else:
-                target = self.upper[x]
-                for j in sorted(row):
-                    c = row[j]
-                    if c < 0:
-                        up = self.upper[j]
-                        if up is None or lt(self.assign[j], up):
-                            self._pivot(x, j, target)
-                            break
-                    elif c > 0:
-                        lo = self.lower[j]
-                        if lo is None or lt(lo, self.assign[j]):
-                            self._pivot(x, j, target)
-                            break
-                else:
-                    return False
+                return False
 
     def concrete_model(self, names: dict[int, str]) -> dict[str, Fraction]:
         """Choose a numeric epsilon small enough for all bounds and report

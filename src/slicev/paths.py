@@ -32,15 +32,19 @@ def _stream(e: Expr) -> Iterator[Expr]:
             for be in _stream(e.els):
                 yield AssertE(Op(OP_NOT, (bg,)), be)
         return
+    yield from _product(e, kids, [])
 
-    def product(i: int, acc: list[Expr]) -> Iterator[Expr]:
-        if i == len(kids):
-            yield rebuild(e, acc)
-            return
-        for b in _stream(kids[i]):
-            yield from product(i + 1, acc + [b])
 
-    yield from product(0, [])
+def _product(e: Expr, kids: tuple[Expr, ...], acc: list[Expr]
+             ) -> Iterator[Expr]:
+    """`e` rebuilt with each path of its remaining `kids` after `acc`, the
+    paths chosen for the ones before.  A module function, not a closure, so
+    a call leaves no reference cycle behind."""
+    if len(acc) == len(kids):
+        yield rebuild(e, acc)
+        return
+    for b in _stream(kids[len(acc)]):
+        yield from _product(e, kids, acc + [b])
 
 
 def enumerate_paths(e: Expr) -> Iterator[Path]:

@@ -25,15 +25,15 @@ import signal
 import subprocess
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import takewhile
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import SliceError, Value
 from .interp import EnvyWitness, check_envy_free, evaluate
 from .logic import (
-    VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, ImpF, NotF, OrF,
+    VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, NotF, OrF,
     Replacement, ScaleT, Term, TrueF, Translated, VCTable, YVar, ZVar,
     ONE_KEY, ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
     replacement_variables, translate,
@@ -100,8 +100,6 @@ def smt_formula(f: Formula) -> str:
         return "(and " + " ".join(smt_formula(i) for i in f.items) + ")"
     if isinstance(f, OrF):
         return "(or " + " ".join(smt_formula(i) for i in f.items) + ")"
-    if isinstance(f, ImpF):
-        return f"(=> {smt_formula(f.premise)} {smt_formula(f.conclusion)})"
     raise SolverError(f"cannot emit {f!r}")
 
 
@@ -548,9 +546,10 @@ def _confirm(model: dict, s: Replacement, tr: Translated, path: Path,
     return Counterexample(vs, table, path.index, witness, run.value)
 
 
-# A pool worker's (config, n_agents, stop event) and its run's `VCTable`,
-# and its solver: started on the first path, as a `Pool` whose initializer
-# raises starts new workers forever, and closed when the worker exits.
+# A pool worker's (config, n_agents) and its run's `VCTable`, and its
+# solver: started on the first path, so that a solver that cannot start
+# raises its own error through that path's result instead of breaking the
+# pool, and closed when the worker exits.
 _job = _table = _proc = None
 
 
@@ -563,9 +562,7 @@ def _start_worker(*job) -> None:
 
 def _check_in_worker(path: Path) -> tuple[Outcome, VerifyStats]:
     global _proc
-    config, n_agents, stop = _job
-    if stop.is_set():
-        return None, VerifyStats()
+    config, n_agents = _job
     if _proc is None:
         from multiprocessing.util import Finalize
         _proc = start_solver(config)
@@ -593,17 +590,36 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
                              for path in paths), config.exhaustive)
         finally:
             proc.close()
-    import multiprocessing
-    stop = multiprocessing.Event()
-    pool = multiprocessing.Pool(config.jobs, _start_worker,
-                                (config, program.agents, stop))
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(config.jobs, initializer=_start_worker,
+                               initargs=(config, program.agents))
     try:
-        return _collect(pool.imap(_check_in_worker, takewhile(
-            lambda _: not stop.is_set(), paths)), config.exhaustive)
+        return _collect(_in_order(pool, paths, config.jobs),
+                        config.exhaustive)
     finally:
-        stop.set()
-        pool.close()
-        pool.join()
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_order(pool, paths: Iterable[Path], ahead: int
+              ) -> Iterator[tuple[Outcome, VerifyStats]]:
+    """`_check_in_worker` over `paths` in `pool`, in path order, with at
+    most `ahead` paths submitted past the one waited for.  A worker that
+    dies ends the outcomes with one unknown."""
+    from concurrent.futures.process import BrokenProcessPool
+    pending: deque = deque()   # (path index, future), oldest first
+    try:
+        for path in paths:
+            pending.append((path.index, pool.submit(_check_in_worker, path)))
+            if len(pending) > ahead:
+                yield pending[0][1].result()
+                pending.popleft()
+        while pending:
+            yield pending[0][1].result()
+            pending.popleft()
+    except BrokenProcessPool as exc:
+        index = pending[0][0] if pending else None   # first path unanswered
+        yield SolverVerdictUnknown(f"a worker process died ({exc})",
+                                   index), VerifyStats()
 
 
 def _collect(outcomes: Iterable, exhaustive: bool) -> VerifyResult:

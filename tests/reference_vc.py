@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from slicev.logic import (
-    VC, AndF, EqF, FalseF, Formula, GeF, ImpF, NotF, OrF, Replacement,
+    VC, AndF, EqF, FalseF, Formula, GeF, NotF, OrF, Replacement,
     Translated, TrueF, ValT, _window_sum, conj, envy_formula, order_formula,
     parts, rebuild,
 )
@@ -33,7 +33,7 @@ def build_vc(tr: Translated, s: Replacement, n_agents: int) -> VC:
     side = order_formula(s, n_agents)
     premise = apply_replacement(s, conj([tr.constraint, side]))
     goal = apply_replacement(s, envy_formula(tr.result, n_agents))
-    return VC(ImpF(premise, goal), premise, NotF(goal), s)
+    return VC(premise, NotF(goal), s)
 
 
 def smt_formula(f: Formula) -> str:
@@ -51,8 +51,6 @@ def smt_formula(f: Formula) -> str:
         return "(and " + " ".join(smt_formula(i) for i in f.items) + ")"
     if isinstance(f, OrF):
         return "(or " + " ".join(smt_formula(i) for i in f.items) + ")"
-    if isinstance(f, ImpF):
-        return f"(=> {smt_formula(f.premise)} {smt_formula(f.conclusion)})"
     raise SolverError(f"cannot emit {f!r}")
 
 

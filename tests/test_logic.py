@@ -7,15 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from slicev import logic
 from slicev.core import OP_GE, AssertE, Cake, Divide, Mark, Op, Split
 from slicev.logic import (
-    AddT, AndF, Const, EqF, FalseF, Formula, GeF, ImpF, IntervalT, LeftT,
-    LogicError, NotF, OrF, PointAtomNotInS, ProjT, RightT, ScaleT, Term, TrueF,
+    AddT, AndF, Const, EqF, FalseF, Formula, GeF, IntervalT,
+    LogicError, NotF, OrF, PointAtomNotInS, ScaleT, Term, TrueF,
     TupleT, UnionT, ValT, YVar, ZVar,
     ZERO_KEY, ONE_KEY, apply_replacement, build_vc, compatible_replacements,
-    conjuncts, envy_formula, eval_formula, is_linear,
-    order_formula, ordering_facts, parts, point_atoms, rebuild,
-    replacement_from_permutation, simplify, simplify_term, subterms,
+    conjuncts, envy_formula, eval_formula, is_linear, left,
+    order_formula, ordering_facts, parts, point_atoms, proj, rebuild,
+    replacement_from_permutation, right, simplify, subterms,
     term_to_value, translate,
 )
 from slicev.paths import enumerate_paths
@@ -56,7 +57,7 @@ def first_path(programs, name):
 
 def test_cut_choose_result_term(programs):
     tr = translate(first_path(programs, "cut_choose").expr)
-    assert simplify_term(tr.result) == TupleT((
+    assert tr.result == TupleT((
         UnionT((interval(y(0), c(1)),)),
         UnionT((interval(c(0), y(0)),))))
 
@@ -164,17 +165,48 @@ def test_envy_three_agents_nine_conjuncts():
     assert len(conjuncts(f)) == 9
 
 
-# -- simplification -----------------------------------------------------------------
+# -- selectors and node kinds --------------------------------------------------------
 
 def test_projection_of_tuple_literal():
-    t = ProjT(2, TupleT((UnionT((interval(y(0), c(1)),)),
-                         UnionT((interval(c(0), y(0)),)))))
-    assert simplify_term(t) == UnionT((interval(c(0), y(0)),))
+    t = TupleT((UnionT((interval(y(0), c(1)),)),
+                UnionT((interval(c(0), y(0)),))))
+    assert proj(2, t) == UnionT((interval(c(0), y(0)),))
 
 
 def test_endpoint_of_interval_literal():
-    assert simplify_term(LeftT(interval(c(0), y(0)))) == c(0)
-    assert simplify_term(RightT(interval(c(0), y(0)))) == y(0)
+    assert left(interval(c(0), y(0))) == c(0)
+    assert right(interval(c(0), y(0))) == y(0)
+
+
+def test_selectors_reject_what_they_cannot_select_from():
+    # the IR has no selector nodes: a projection of anything but a tuple,
+    # or an endpoint of anything but an interval, is an error
+    piece = UnionT((interval(c(0), y(0)),))
+    for t in (piece, interval(c(0), y(0)), y(0), ValT(1, piece)):
+        with pytest.raises(LogicError, match="projection of a non-tuple"):
+            proj(1, t)
+    for t in (piece, TupleT((interval(c(0), y(0)),)), y(0), c(1)):
+        with pytest.raises(LogicError, match="left endpoint of a non-interval"):
+            left(t)
+        with pytest.raises(LogicError, match="right endpoint of a non-interval"):
+            right(t)
+
+
+def _kinds(base):
+    """The subclasses of `base` that the logic module defines."""
+    return {k for k in vars(logic).values() if isinstance(k, type)
+            and issubclass(k, base) and k is not base
+            and k.__module__ == logic.__name__}
+
+
+def test_the_ir_has_sixteen_node_kinds():
+    terms = {logic.Const, logic.YVar, logic.ZVar, logic.IntervalT,
+             logic.UnionT, logic.TupleT, logic.ValT, logic.AddT, logic.ScaleT}
+    formulas = {logic.TrueF, logic.FalseF, logic.GeF, logic.EqF, logic.NotF,
+                logic.AndF, logic.OrF}
+    assert _kinds(Term) == terms
+    assert _kinds(Formula) == formulas
+    assert len(terms | formulas) == 16
 
 
 @functools.cache
@@ -201,8 +233,9 @@ def _nodes(x):
 
 def test_translation_is_in_normal_form():
     # the verify pipeline never calls simplify: translation must already
-    # produce its normal form, on every path of the corpus
-    unreduced = (ProjT, LeftT, RightT)
+    # produce its normal form, on every path of the corpus, and every
+    # result is a tuple with a component per agent, so the envy goal's
+    # projections select (`proj` raises otherwise)
     n_paths = 0
     for path_file in [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values()]:
         program = load(path_file)
@@ -210,10 +243,9 @@ def test_translation_is_in_normal_form():
             n_paths += 1
             tr = translate(path.expr)
             assert simplify(tr.constraint) == tr.constraint
-            assert simplify_term(tr.result) == tr.result
+            assert simplify(tr.result) == tr.result
             envy = envy_formula(tr.result, program.agents)
-            for root in (tr.result, tr.constraint, envy):
-                assert not any(isinstance(n, unreduced) for n in _nodes(root))
+            assert simplify(envy) == envy
     assert n_paths == 4360
 
 
@@ -239,15 +271,17 @@ def test_parts_and_rebuild_follow_the_dataclass_fields():
             _check_shapes(tr.result)
             _check_shapes(tr.constraint)
             for s in path_replacements(tr, prune=True)[0]:
-                _check_shapes(build_vc(tr, s, program.agents).formula)
+                vc = build_vc(tr, s, program.agents)
+                _check_shapes(vc.antecedent)
+                _check_shapes(vc.negated_goal)
     assert n_paths == 4360
     p = interval(c(0), y(0))
     pair = TupleT((p, UnionT((interval(y(0), c(1)),))))
     hand_built = [
-        ProjT(2, pair), LeftT(p), RightT(p), ScaleT(F(1, 3), ValT(2, p)),
+        pair, ScaleT(F(1, 3), ValT(2, p)),
         AndF((OrF((NotF(TrueF()), GeF(y(0), c(0)))),
-              EqF(ValT(1, ProjT(1, pair)), z(1, ONE_KEY)))),
-        ImpF(OrF((GeF(y(0), c(0)), NotF(EqF(y(0), c(1))))), FalseF()),
+              EqF(ValT(1, UnionT((p, p))), z(1, ONE_KEY)))),
+        OrF((GeF(AddT(y(0), c(0)), c(1)), NotF(EqF(y(0), c(1))), FalseF())),
     ]
     for node in hand_built:
         _check_shapes(node)
@@ -255,7 +289,6 @@ def test_parts_and_rebuild_follow_the_dataclass_fields():
         assert len(walked) == len(oracle)
         assert all(map(operator.is_, walked, oracle))
     # the fields that are not nodes survive a rebuild with new parts
-    assert rebuild(ProjT(2, pair), [p]) == ProjT(2, p)
     assert rebuild(ValT(3, p), [pair]) == ValT(3, pair)
     assert rebuild(ScaleT(F(1, 3), y(0)), [y(1)]) == ScaleT(F(1, 3), y(1))
 
@@ -269,25 +302,29 @@ def test_guards_translate_to_formulas():
 
 
 def test_simplification_preserves_truth():
+    # `simplify` only flattens conjunctions, here nested under every kind
+    # of formula
     rng = random.Random(73)
     whole = interval(c(0), c(1))
     pair = TupleT((interval(c(0), y(0)), interval(y(1), c(1))))
-    selectors = (ProjT, LeftT, RightT)
     for _ in range(100):
         assign = {y(0): F(rng.randint(0, 8), 8), y(1): F(rng.randint(0, 8), 8)}
         vs = ValuationSet([PUValuation([(F(0), F(1))]),
                            PUValuation([(F(1, 4), F(3, 4))])])
-        pieces = [whole, ProjT(1, pair), ProjT(2, pair),
-                  UnionT((ProjT(1, pair), ProjT(2, pair)))]
-        points = [LeftT(ProjT(2, pair)), RightT(ProjT(1, pair)), RightT(whole)]
+        pieces = [whole, proj(1, pair), proj(2, pair),
+                  UnionT((proj(1, pair), proj(2, pair)))]
+        points = [left(proj(2, pair)), right(proj(1, pair)), right(whole)]
         t1 = ValT(rng.randint(1, 2), rng.choice(pieces))
         t2 = ValT(rng.randint(1, 2), rng.choice(pieces))
         p1, p2 = rng.choice(points), rng.choice(points)
+        inner = AndF((GeF(p1, p2), AndF((EqF(t1, t1), TrueF()))))
         raw = rng.choice([
-            GeF(t1, t2), NotF(GeF(t1, t2)), AndF((GeF(t1, t2), EqF(t1, t1))),
-            OrF((GeF(p1, p2), NotF(EqF(p1, p2))))])
+            AndF((GeF(t1, t2), inner)), NotF(inner),
+            OrF((NotF(GeF(t1, t2)), inner)), AndF((inner, inner))])
         simplified = simplify(raw)
-        assert not any(isinstance(n, selectors) for n in subterms(simplified))
+        for node in subterms(simplified):
+            if isinstance(node, AndF):
+                assert not any(isinstance(i, (AndF, TrueF)) for i in node.items)
         assert eval_formula(raw, vs, assign) == eval_formula(simplified, vs, assign)
 
 
@@ -408,7 +445,8 @@ def test_vcs_are_linear(programs):
             tr = translate(path.expr)
             for s in all_orders(tr.mark_ids):
                 vc = build_vc(tr, s, program.agents)
-                assert is_linear(vc.formula), name
+                assert is_linear(vc.antecedent), name
+                assert is_linear(vc.negated_goal), name
 
 
 # -- ordering facts and pruning ---------------------------------------------------------

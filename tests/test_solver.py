@@ -9,7 +9,7 @@ import pytest
 
 from slicev.interp import evaluate, check_envy_free
 from slicev.logic import (
-    ONE_KEY, AndF, Const, EqF, GeF, IntervalT, ProjT, TrueF, TupleT, ValT,
+    ONE_KEY, AndF, Const, EqF, GeF, IntervalT, TrueF, TupleT, ValT,
     YVar, ZVar, build_vc, replacement_from_permutation, translate,
 )
 from slicev.paths import enumerate_paths
@@ -60,7 +60,7 @@ def test_emit_rejects_nonlinear_nodes(programs):
     piece = IntervalT(Const(F(0)), YVar(0))
     nonlinear = [GeF(ValT(1, piece), YVar(0)), EqF(piece, piece),
                  EqF(GeF(YVar(0), Const(F(0))), TrueF()),
-                 GeF(ProjT(1, TupleT((YVar(0),))), YVar(0))]
+                 GeF(TupleT((YVar(0),)), YVar(0))]
     for atom in nonlinear:
         for side in ("antecedent", "negated_goal"):
             broken = dataclasses.replace(
@@ -326,7 +326,7 @@ def test_satisfying_model_denotes_the_replayed_value(bad_programs):
     # a model of a path constraint puts the interpreter on that very path,
     # and the run's value equals the result term under the model
     from slicev.core import unread
-    from slicev.logic import term_to_value, YVar, simplify_term
+    from slicev.logic import term_to_value, YVar
 
     program = bad_programs["cut_choose_cutter_chooses"]
     res = verify_program(program, VerifyConfig(solver=BUNDLED))
@@ -336,7 +336,7 @@ def test_satisfying_model_denotes_the_replayed_value(bad_programs):
     tr = translate(path.expr)
     assign = {YVar(k): v for k, v in ce.mark_table.items()}
     run = evaluate(program.body, ce.valuations, replay=ce.mark_table)
-    assert term_to_value(simplify_term(tr.result), assign) == unread(run.value)
+    assert term_to_value(tr.result, assign) == unread(run.value)
 
 
 def test_verification_is_deterministic(bad_programs):
@@ -397,6 +397,56 @@ def test_early_stop_leaves_no_solver_running(tmp_path):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_a_killed_worker_gives_unknown_with_reason(programs):
+    # a worker killed mid-run (by the out-of-memory killer, say) never
+    # answers for its path; the run ends `unknown` instead of waiting
+    import multiprocessing
+    import signal
+    import threading
+    import time
+    before = set(multiprocessing.active_children())
+    results = []
+    run = threading.Thread(daemon=True, target=lambda: results.append(
+        verify_program(programs["selfridge_conway_full"],
+                       VerifyConfig(solver=BUNDLED, jobs=2))))
+    run.start()
+    deadline = time.monotonic() + 10.0
+    workers = set()
+    while not workers and time.monotonic() < deadline:
+        time.sleep(0.05)
+        workers = set(multiprocessing.active_children()) - before
+    assert workers, "the pool started no worker"
+    time.sleep(0.3)
+    killed = time.monotonic()
+    os.kill(min(workers, key=lambda p: p.pid).pid, signal.SIGKILL)
+    run.join(timeout=10.0)
+    assert not run.is_alive(), "the run still waits for the dead worker"
+    assert time.monotonic() - killed < 10.0
+    (res,) = results
+    assert res.verdict == "unknown" and not res.counterexamples
+    (unknown,) = res.unknowns
+    assert "a worker process died" in unknown.reason
+    assert unknown.path_index is not None
+
+
+def test_a_run_leaves_no_reference_cycles(programs):
+    # path enumeration and order enumeration recurse through module
+    # functions, not closures, so a run frees what it built as it goes
+    import gc
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        res = verify_program(programs["waste_makes_haste3"],
+                             VerifyConfig(solver=BUNDLED, prune=False))
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert res.verdict == "valid" and res.stats.orders_pruned == 0
+    assert "function" not in left and "cell" not in left
 
 
 def test_exhaustive_collects_more(bad_programs):
