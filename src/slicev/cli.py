@@ -170,7 +170,8 @@ def cmd_verify(args) -> int:
             with open(args.save_counterexample, "w") as fh:
                 json.dump(ce.to_json(), fh, indent=2)
     if result.unknowns:
-        report["unknowns"] = [u.reason for u in result.unknowns]
+        report["unknowns"] = [{"path_index": u.path_index, "reason": u.reason}
+                              for u in result.unknowns]
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -186,7 +187,7 @@ def cmd_verify(args) -> int:
                               for k, v in sorted(ce.mark_table.items()))
             print(f"    marks: {marks}")
         for u in result.unknowns:
-            print(f"  unknown: {u.reason}")
+            print(f"  unknown on path {u.path_index}: {u.reason}")
     if result.verdict == "invalid":
         return EXIT_VIOLATION
     if result.verdict == "unknown":

@@ -104,6 +104,15 @@ def is_affine_type(t: SliceType) -> bool:
     return isinstance(t, (TIntvl, TPiece, TProduct))
 
 
+def product_type(comps: Sequence[SliceType]) -> Optional[TProduct]:
+    """The product of `comps`, or None when a non-affine component follows
+    an affine one: the product grammar puts every non-affine one first."""
+    k = next((i for i, t in enumerate(comps) if is_affine_type(t)), len(comps))
+    if not all(map(is_affine_type, comps[k:])):
+        return None
+    return TProduct(tuple(comps[:k]), tuple(comps[k:]))
+
+
 def read_type(t: SliceType) -> SliceType:
     """Read-only shadow of a type: Intvl -> RdIntvl, componentwise on products."""
     if isinstance(t, TIntvl):
@@ -224,16 +233,10 @@ def value_type(v: Value) -> SliceType:
     if isinstance(v, ReadOnlyVal):
         return RD_INTVL if isinstance(v.inner, IntervalVal) else RD_PIECE
     if isinstance(v, TupleVal):
-        comps = [value_type(item) for item in v.items]
-        k = 0
-        while k < len(comps) and not is_affine_type(comps[k]):
-            k += 1
-        # The product grammar puts every non-affine component first; a tuple
-        # violating that order has no type at all.
-        for t in comps[k:]:
-            if not is_affine_type(t):
-                raise SliceError(f"untypeable tuple value {v}")
-        return TProduct(tuple(comps[:k]), tuple(comps[k:]))
+        t = product_type([value_type(item) for item in v.items])
+        if t is None:
+            raise SliceError(f"untypeable tuple value {v}")
+        return t
     raise SliceError(f"not a value: {v!r}")
 
 

@@ -624,15 +624,6 @@ def build_vc(tr: Translated, s: Replacement, n_agents: int,
     return vc
 
 
-_LINEAR = (Const, YVar, ZVar, AddT, ScaleT,
-           TrueF, FalseF, GeF, EqF, NotF, AndF, OrF)
-
-
-def is_linear(f: Formula) -> bool:
-    """Every atom compares linear combinations of real variables."""
-    return all(isinstance(x, _LINEAR) for x in subterms(f))
-
-
 # ---------------------------------------------------------------------------
 # Replacement pruning
 # ---------------------------------------------------------------------------

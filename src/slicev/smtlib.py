@@ -2,8 +2,10 @@
 
 `slicev-smt` reads commands from stdin and answers `check-sat` and
 `get-model` like any external solver would, so it can stand in for z3/cvc5
-run with `-in`.  The verifier runs the same parser and search in its own
-process when its solver command is the bundled one.  Only the QF_LRA
+run with `-in`.  It is the front end for text from outside the verifier.
+When the verifier's solver command is the bundled one, it runs the same
+search (`check_assertions`) in its own process on formulas it lowers
+itself (`solver.lower_formula`), with no text in between.  Only the QF_LRA
 fragment the pipeline emits is supported; anything else is reported as an
 error line.
 """
@@ -31,7 +33,7 @@ def tokenize_sexprs(text: str) -> list[str]:
 
 
 def parse_sexprs(text: str) -> list[Sexpr]:
-    """The s-expressions of `text`, each list a tuple, so it can be a key."""
+    """The s-expressions of `text`, each list a tuple."""
     stack: list[list] = []
     items: list = []
     for tok in tokenize_sexprs(text):
@@ -112,66 +114,19 @@ def format_rational(x: Fraction) -> str:
     return f"(/ {x.numerator} {x.denominator})"
 
 
-def _names(s: Sexpr) -> list[str]:
-    """The constants a term or comparison mentions, in the order lowering
-    looks them up; operators and numbers are not constants."""
-    if isinstance(s, str):
-        return [] if _exact(s) is not None else [s]
-    return [name for part in s[1:] for name in _names(part)]
-
-
-# Formula representation after parsing: ("atom", op, {var: coeff}, const)
+# Formula representation the search takes, from `SolverState.formula` or
+# `solver.lower_formula`: ("atom", op, {var: coeff}, const)
 # with op in {"<=", "<", ">=", ">", "="} meaning  sum coeffs*vars  op  const,
 # or ("and"/"or", [children]), ("not", child), "true"/"false".
 
 
-class AtomTable:
-    """The comparisons lowered so far, for `SolverState`s to share, so each
-    distinct one is lowered once.  An entry keeps its s-expression, names
-    and numbers as copies shared with the other entries, so a part that
-    many comparisons have, such as `(* (- 1) z1_y0)`, is kept once."""
+class SolverState:
+    """Declarations and assertions in push/pop frames."""
 
     def __init__(self):
-        self.lowered: dict = {}    # comparison -> atom
-        # comparison -> the constants it mentions, where they are not the
-        # keys of its atom's coefficients, as in (= (- x x) 0)
-        self.cancelled: dict = {}
-        self._copies: dict = {}    # s-expression or number -> kept copy
-
-    def _keep(self, x):
-        if isinstance(x, tuple):
-            x = tuple(map(self._keep, x))
-        return self._copies.setdefault(x, x)
-
-    def add(self, s: tuple, atom: tuple, names: list[str]) -> tuple:
-        """Enter comparison `s`, lowered to `atom`; `names` are the
-        constants it mentions.  Returns the atom as kept."""
-        _kind, op, coeffs, const = atom
-        keep = self._keep
-        coeffs = {keep(v): keep(c) for v, c in coeffs.items()}
-        atom = ("atom", op, coeffs, keep(const))
-        s = keep(s)
-        self.lowered[s] = atom
-        names = list(dict.fromkeys(names))
-        if names != list(coeffs):
-            self.cancelled[s] = tuple(map(keep, names))
-        return atom
-
-    def constants(self, s: tuple, atom: tuple):
-        """The constants comparison `s`, lowered to `atom`, mentions."""
-        return (self.cancelled.get(s) if self.cancelled else None) or atom[2]
-
-
-class SolverState:
-    """Declarations and assertions in push/pop frames.  Comparisons are
-    lowered through `atoms`, which states may share; every later use of a
-    comparison only checks that its constants are declared."""
-
-    def __init__(self, atoms: Optional[AtomTable] = None):
         self.frames: list[list] = [[]]        # stacked assertion lists
         self.declared: list[set] = [set()]    # stacked declaration sets
         self.last_model: Optional[dict] = None
-        self.atoms = AtomTable() if atoms is None else atoms
 
     # -- declarations --------------------------------------------------------
 
@@ -298,22 +253,15 @@ class SolverState:
                 f = ("or", [("not", f), self.formula(part)])
             return f
         if head in ("<=", "<", ">=", ">", "="):
-            atom = self.atoms.lowered.get(s)
-            if atom is not None:
-                for name in self.atoms.constants(s, atom):
-                    if not self.is_declared(name):
-                        raise ValueError(f"unknown constant {name!r}")
-                return atom
             # both sides into one dict:  coeffs . vars  head  const
             coeffs: dict = {}
             const = -self._add_linear(s[1], 1, coeffs)
             const -= self._add_linear(s[2], -1, coeffs)
             if len(s) > 3:
                 raise ValueError("chained comparisons unsupported")
-            return self.atoms.add(
-                s, ("atom", head,
+            return ("atom", head,
                     {v: Fraction(x) for v, x in coeffs.items() if x},
-                    Fraction(const)), _names(s))
+                    Fraction(const))
         raise ValueError(f"unsupported formula {s!r}")
 
 
@@ -470,9 +418,7 @@ def run_command(state: SolverState, cmd: Sexpr, out) -> bool:
         state.pop(int(cmd[1]) if len(cmd) > 1 else 1)
         return True
     if head == "reset":
-        state.frames = [[]]
-        state.declared = [set()]
-        state.last_model = None
+        state.__init__()
         return True
     if head == "check-sat":
         print(state.check_sat(), file=out, flush=True)

@@ -7,12 +7,12 @@ turned into a concrete piecewise-uniform valuation set and replayed through
 the interpreter; a counterexample is only reported once the replay
 reproduces an exact envy violation.
 
-Every query is SMT-LIB2 text, whichever backend answers it.  When the
-solver command is exactly the bundled one, `BUNDLED_SOLVER`, the text goes
-through `slicev.smtlib` in this process (`BundledSolver`) and the answer
-and model come back as values; any other command (z3, cvc5, or the bundled
-solver named any other way) runs as a child process over pipes
-(`SolverProcess`).  `check_query` asks either.
+When the solver command is exactly the bundled one, `BUNDLED_SOLVER`, the
+search of `slicev.smtlib` decides each condition in this process
+(`BundledSolver`) from the atoms `lower_formula` makes of it; any other
+command (z3, cvc5, or the bundled solver named any other way) runs as a
+child process over pipes (`SolverProcess`) and reads the SMT-LIB2 text
+`emit_smt` prints for every query.  `check_query` asks either.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, NotF, OrF,
     Replacement, ScaleT, Term, TrueF, Translated, VCTable, YVar, ZVar,
     ONE_KEY, ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
-    replacement_variables, translate,
+    replacement_variables, subterms, translate,
 )
 from .paths import Path, enumerate_paths
 from .syntax import Program
@@ -101,6 +101,47 @@ def smt_formula(f: Formula) -> str:
     if isinstance(f, OrF):
         return "(or " + " ".join(smt_formula(i) for i in f.items) + ")"
     raise SolverError(f"cannot emit {f!r}")
+
+
+def _lower_term(t: Term, scale, coeffs: dict):
+    """Add `scale` times `t` into `coeffs`; return the constant part."""
+    if isinstance(t, Const):
+        return scale * t.value
+    if isinstance(t, (YVar, ZVar)):
+        name = sys.intern(smt_name(t))   # one copy, shared by the atoms
+        coeffs[name] = coeffs.get(name, 0) + scale
+        return 0
+    if isinstance(t, AddT):
+        return (_lower_term(t.left, scale, coeffs)
+                + _lower_term(t.right, scale, coeffs))
+    if isinstance(t, ScaleT):
+        return _lower_term(t.arg, scale * t.coeff, coeffs)
+    raise SolverError(f"term {t!r} is not linear")
+
+
+def lower_formula(f: Formula):
+    """`f` as the search of `slicev.smtlib` takes it, equal to what
+    `smtlib.SolverState.formula` makes of `smt_formula(f)`: a comparison
+    becomes `("atom", op, {name: coeff}, const)` for `left - right op 0`,
+    without zero coefficients.  A node outside linear real arithmetic
+    raises `SolverError`."""
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, FalseF):
+        return "false"
+    if isinstance(f, (GeF, EqF)):
+        coeffs: dict = {}
+        const = -_lower_term(f.left, 1, coeffs)
+        const -= _lower_term(f.right, -1, coeffs)
+        return ("atom", ">=" if isinstance(f, GeF) else "=",
+                {v: Fraction(x) for v, x in coeffs.items() if x},
+                Fraction(const))
+    if isinstance(f, NotF):
+        return ("not", lower_formula(f.arg))
+    if isinstance(f, (AndF, OrF)):
+        return ("and" if isinstance(f, AndF) else "or",
+                [lower_formula(i) for i in f.items])
+    raise SolverError(f"cannot lower {f!r}")
 
 
 _HEADER = "(set-logic QF_LRA)\n(set-option :produce-models true)\n"
@@ -168,38 +209,54 @@ def default_solver_command() -> list[str]:
 
 
 class BundledSolver:
-    """The bundled solver inside this process: each query's text goes
-    through the parser and search `slicev-smt` runs, from a fresh
-    `SolverState`, so a failed query leaves nothing behind.  The states
-    share one `smtlib.AtomTable`, so each distinct comparison is lowered
-    once per solver."""
+    """The bundled solver inside this process: it decides each condition
+    with the search `slicev-smt` runs, from its lowered formulas, so a
+    failed query leaves nothing behind.  Each top-level conjunct (of its
+    argument, for a negation) is lowered once per solver."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
-        self.atoms = None
+        # id(conjunct) -> (conjunct, lowered, names it mentions); the entry
+        # keeps the conjunct, so its id stays its own
+        self.lowered: dict = {}
+        self.namesets: dict = {}    # one copy of each set of names
 
-    def check(self, query: str) -> tuple[str, Optional[dict]]:
+    def _lower(self, f: Formula, known: frozenset):
+        if isinstance(f, NotF):
+            return ("not", self._lower(f.arg, known))
+        out = []
+        for item in f.items if isinstance(f, AndF) else (f,):
+            if id(item) not in self.lowered:
+                names = frozenset(smt_name(x) for x in subterms(item)
+                                  if isinstance(x, (YVar, ZVar)))
+                names = self.namesets.setdefault(names, names)
+                self.lowered[id(item)] = (item, lower_formula(item), names)
+            _item, lowered, names = self.lowered[id(item)]
+            if not names <= known:
+                raise SolverError(f"unknown constant {min(names - known)!r}")
+            out.append(lowered)
+        return ("and", out) if isinstance(f, AndF) else out[0]
+
+    def lower(self, vc: VC, n_agents: int) -> tuple[list[str], list]:
+        """The variables and assertions `SolverState` reads from `vc`'s
+        text; an atom naming another variable raises `SolverError`."""
+        ys, zs = replacement_variables(vc.replacement, n_agents)
+        names = sorted(smt_name(v) for v in [*ys, *zs])
+        known = frozenset(names)
+        return names, [self._lower(vc.antecedent, known),
+                       self._lower(vc.negated_goal, known)]
+
+    def check(self, vc: VC, n_agents: int) -> tuple[str, Optional[dict]]:
         from . import smtlib   # kept out of `import slicev`
         deadline = time.monotonic() + self.timeout
-        if self.atoms is None:
-            self.atoms = smtlib.AtomTable()
-        state = smtlib.SolverState(self.atoms)
-        answer = None
         try:
-            for cmd in smtlib.parse_sexprs(query):
-                if cmd == ("check-sat",):
-                    answer = state.check_sat(deadline)
-                else:   # declarations and assertions print nothing
-                    smtlib.run_command(state, cmd, sys.stderr)
-            if answer is None:
-                raise SolverError("the query has no check-sat")
+            return smtlib.check_assertions(*self.lower(vc, n_agents), deadline)
         except TimeoutError:
             return "timeout", None
         except Exception as exc:
             raise SolverDied(
                 f"bundled solver {' '.join(BUNDLED_SOLVER)!r} failed in "
                 f"process ({exc!r})") from exc
-        return answer, state.last_model
 
     def close(self) -> None:
         pass
@@ -223,7 +280,7 @@ class SolverProcess:
         except OSError as exc:
             raise SolverError(f"cannot start solver {self.command}: {exc}")
         self._buffer = ""
-        self.send("(set-logic QF_LRA)\n(set-option :produce-models true)\n")
+        self.send(_HEADER)
 
     def restart(self) -> None:
         self.close()
@@ -343,11 +400,14 @@ def parse_model(text: str) -> dict[str, Fraction]:
     return out
 
 
-def check_query(proc: Solver, query: str) -> tuple[str, Optional[dict]]:
-    """Decide one query's SMT-LIB2 text; returns (sat|unsat|unknown|timeout,
+def check_query(proc: Solver, query: str, vc: VC, n_agents: int
+                ) -> tuple[str, Optional[dict]]:
+    """Decide `vc`, whose text is `query`; returns (sat|unsat|unknown|timeout,
     model).  A solver process that exits, closes its pipes or prints
     anything else in place of an answer, or an exception inside the bundled
     solver, raises `SolverDied`; the next query starts afresh."""
+    if isinstance(proc, BundledSolver):
+        return proc.check(vc, n_agents)
     return proc.check(query)
 
 
@@ -513,7 +573,7 @@ def _check_path(proc: Solver, path: Path, n_agents: int,
             write_query(config.dump_dir, path.index, s, query)
         stats.queries += 1
         try:
-            verdict, model = check_query(proc, query)
+            verdict, model = check_query(proc, query, vc, n_agents)
         except SolverDied as exc:
             stats.solve_seconds += time.monotonic() - t1
             return SolverVerdictUnknown(

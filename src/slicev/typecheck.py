@@ -18,7 +18,8 @@ from .core import (
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
     AssertE, AffVar, Cake, Divide, EvalQ, Expr, If, Lit, Mark, Op, PieceE,
     PointVal, ReadVar, SliceError, SliceType, Split, TProduct, TRdIntvl,
-    TRdPiece, TupleE, Var, is_affine_type, read_type, value_type, walk,
+    TRdPiece, TupleE, Var, is_affine_type, product_type, read_type,
+    value_type, walk,
 )
 from .syntax import Program
 
@@ -116,14 +117,11 @@ class _Checker:
                 t, u = self.check(item, scope)
                 comps.append(t)
                 uses.append(u)
-            k = 0
-            while k < len(comps) and not is_affine_type(comps[k]):
-                k += 1
-            for t in comps[k:]:
-                if not is_affine_type(t):
-                    raise SliceTypeError(
-                        "tuple puts a non-affine component after an affine one")
-            return TProduct(tuple(comps[:k]), tuple(comps[k:])), _combine(*uses)
+            t = product_type(comps)
+            if t is None:
+                raise SliceTypeError(
+                    "tuple puts a non-affine component after an affine one")
+            return t, _combine(*uses)
         if isinstance(e, Split):
             return self.check_split(e, scope)
         if isinstance(e, If):

@@ -185,6 +185,22 @@ def test_verify_reports_total_paths_when_short_circuiting(capsys):
     assert report["paths_checked"] <= report["paths"]
 
 
+def test_verify_names_the_path_of_each_unknown(capsys):
+    # a zero timeout: the first path's query times out
+    code, out = run(capsys, "verify", CC, "--timeout", "0", "--json",
+                    "--solver", BUNDLED)
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "unknown"
+    assert report["unknowns"] == [
+        {"path_index": 0, "reason": "solver answered timeout (order 0 < y0 "
+                                    "< 1)"}]
+    code, out = run(capsys, "verify", CC, "--timeout", "0",
+                    "--solver", BUNDLED)
+    assert code == 2
+    assert "  unknown on path 0: solver answered timeout (order" in out
+
+
 def test_broken_solver_command_exits_two(capsys):
     for jobs in ("1", "2"):
         code = main(["verify", CC, "--solver",

@@ -194,22 +194,6 @@ def test_declare_fun_takes_an_empty_signature():
         "sat", '(error "only nullary Real functions supported")']
 
 
-def test_states_sharing_atoms_still_check_declarations():
-    atoms = smtlib.AtomTable()
-    first, second = SolverState(atoms), SolverState(atoms)
-    (atom,) = parse_sexprs("(>= (+ x (* 2 y) (- y y)) 1)")
-    for name in ("x", "y"):
-        first.declare(name)
-    lowered = first.formula(atom)
-    assert lowered == ("atom", ">=", {"x": F(1), "y": F(2)}, F(1))
-    assert len(atoms.lowered) == 1
-    second.declare("x")
-    with pytest.raises(ValueError, match="unknown constant 'y'"):
-        second.formula(atom)
-    second.declare("y")
-    assert second.formula(atom) is lowered
-
-
 def run_slicev_smt(monkeypatch, capsys, text: str) -> list[str]:
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert smtlib.main() == 0
@@ -217,8 +201,8 @@ def run_slicev_smt(monkeypatch, capsys, text: str) -> list[str]:
 
 
 def test_slicev_smt_push_pop_and_reset(monkeypatch, capsys):
-    # each comparison is lowered once; the later uses after a pop or a
-    # reset must still find its constants undeclared
+    # a constant declared in a popped frame, or before a reset, is
+    # undeclared in the comparisons after it
     got = run_slicev_smt(monkeypatch, capsys, """
         (declare-const x Real)
         (push 1) (assert (> x 1)) (check-sat)

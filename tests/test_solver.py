@@ -9,16 +9,17 @@ import pytest
 
 from slicev.interp import evaluate, check_envy_free
 from slicev.logic import (
-    ONE_KEY, AndF, Const, EqF, GeF, IntervalT, TrueF, TupleT, ValT,
-    YVar, ZVar, build_vc, replacement_from_permutation, translate,
+    ONE_KEY, VC, AddT, AndF, Const, EqF, FalseF, GeF, IntervalT, NotF, OrF,
+    TrueF, TupleT, ValT, YVar, ZVar, build_vc, replacement_from_permutation,
+    translate,
 )
 from slicev.paths import enumerate_paths
 from slicev import smtlib, solver
 from slicev.solver import (
     BundledSolver, Counterexample, SolverDied, SolverError, SolverProcess,
     VerifyConfig, check_query, default_solver_command, emit_smt,
-    extract_valuation_set, parse_model, replay_counterexample, smt_name,
-    start_solver, verify_program,
+    extract_valuation_set, lower_formula, parse_model, replay_counterexample,
+    smt_name, start_solver, verify_program,
 )
 from slicev.syntax import parse
 
@@ -35,6 +36,12 @@ SUBPROCESS = [sys.executable, "-u", "-m", "slicev.smtlib"]
 def cut_choose_vc(programs):
     tr = translate(next(enumerate_paths(programs["cut_choose"].body)).expr)
     return build_vc(tr, replacement_from_permutation([0]), 2)
+
+
+def hand_built_vc(antecedent, negated_goal=TrueF()):
+    """A condition over one mark, `y0`, and one agent: its variables are
+    `y0`, `z1_y0` and `z1_one`."""
+    return VC(antecedent, negated_goal, replacement_from_permutation([0]))
 
 
 # -- emission -----------------------------------------------------------------
@@ -67,6 +74,8 @@ def test_emit_rejects_nonlinear_nodes(programs):
                 vc, **{side: AndF((getattr(vc, side), atom))})
             with pytest.raises(SolverError):
                 emit_smt(broken, 2)
+        with pytest.raises(SolverError):
+            lower_formula(atom)
 
 
 def test_variable_naming_deterministic():
@@ -78,32 +87,39 @@ def test_variable_naming_deterministic():
 # -- solver process ---------------------------------------------------------------
 
 def test_check_query_trivial_mappings():
+    # the child process gets the query text, the bundled solver the VC
+    third = Const(F(1, 3))
+    sat = hand_built_vc(AndF((EqF(YVar(0), third),
+                              EqF(ZVar(1, 0), AddT(YVar(0), Const(F(-1))))
+                              )))
     for command, backend in ((BUNDLED, BundledSolver),
                              (SUBPROCESS, SolverProcess)):
         proc = start_solver(VerifyConfig(solver=command, timeout=20))
         assert type(proc) is backend
         try:
-            verdict, model = check_query(proc, "(assert false)\n(check-sat)\n")
+            vc = hand_built_vc(FalseF())
+            verdict, model = check_query(proc, emit_smt(vc, 1, False), vc, 1)
             assert verdict == "unsat" and model is None
-            verdict, model = check_query(
-                proc, "(declare-const q Real)\n(assert (= q (/ 1 3)))\n"
-                "(declare-const r Real)\n(assert (= r (- q 1)))\n(check-sat)\n")
-            assert verdict == "sat" and model == {"q": F(1, 3), "r": F(-2, 3)}
+            verdict, model = check_query(proc, emit_smt(sat, 1, False), sat, 1)
+            assert verdict == "sat"
+            assert model["y0"] == F(1, 3) and model["z1_y0"] == F(-2, 3)
+            assert set(model) == {"y0", "z1_y0", "z1_one"}
             assert all(type(v) is F for v in model.values())
         finally:
             proc.close()
 
 
-def test_true_implication_is_valid(programs):
+def test_true_implication_is_valid():
     # assert the negation of (true => true): solver must answer unsat
-    for command in (BUNDLED, SUBPROCESS):
-        proc = start_solver(VerifyConfig(solver=command, timeout=20))
-        try:
-            verdict, _ = check_query(
-                proc, "(assert (not (=> true true)))\n(check-sat)\n")
-            assert verdict == "unsat"
-        finally:
-            proc.close()
+    proc = start_solver(VerifyConfig(solver=SUBPROCESS, timeout=20))
+    try:
+        assert proc.check("(assert (not (=> true true)))\n(check-sat)\n") == (
+            "unsat", None)
+    finally:
+        proc.close()
+    # the IR has no implication; (true => true) is (or (not true) true)
+    vc = hand_built_vc(TrueF(), NotF(OrF((NotF(TrueF()), TrueF()))))
+    assert BundledSolver().check(vc, 1) == ("unsat", None)
 
 
 def test_timeout_maps_to_unknown():
@@ -111,7 +127,7 @@ def test_timeout_maps_to_unknown():
                           "import time,sys; sys.stdin.read(1); time.sleep(60)"],
                          timeout=0.3)
     try:
-        verdict, model = check_query(proc, "(check-sat)\n")
+        verdict, model = proc.check("(check-sat)\n")
         assert verdict == "timeout" and model is None
     finally:
         proc.close()
@@ -170,42 +186,33 @@ def test_bundled_solver_answers_after_a_failed_query(bad_programs,
 def test_bundled_solver_answers_check_sat():
     proc = BundledSolver()
     answer, model = proc.check(
-        "(declare-const x Real)\n(assert (> x 1))\n(check-sat)\n")
-    assert answer == "sat" and model["x"] > 1
-    with pytest.raises(SolverDied, match="no check-sat"):
-        proc.check("(declare-const x Real)\n(assert (> x 1))\n")
-
-
-def test_cached_atom_with_an_undeclared_constant_fails():
-    proc = BundledSolver()
-    atom = "(assert (>= (+ x y) 1))\n(check-sat)\n"
-    declare = "(declare-const x Real)\n(declare-const y Real)\n"
-    assert proc.check(declare + atom)[0] == "sat"
-    with pytest.raises(SolverDied, match="unknown constant 'y'"):
-        proc.check("(declare-const x Real)\n" + atom)
-    assert proc.check(declare + atom)[0] == "sat"
+        hand_built_vc(NotF(GeF(Const(F(1)), YVar(0)))), 1)
+    assert answer == "sat" and model["y0"] > 1
+    piece = IntervalT(Const(F(0)), YVar(0))
+    with pytest.raises(SolverDied, match="is not linear"):
+        proc.check(hand_built_vc(GeF(ValT(1, piece), YVar(0))), 1)
 
 
 def test_undeclared_constant_in_a_later_query_gives_unknown(programs,
                                                             monkeypatch):
-    # the first query lowers every comparison; a later one that leaves a
-    # constant undeclared must fail as it did before the atoms were cached
-    emit = solver.emit_smt
+    # the second query's condition names a mark outside its replacement
+    build = solver.build_vc
     calls = []
 
-    def dropping(vc, n_agents, standalone=True):
+    def widening(tr, s, n_agents, table=None):
+        vc = build(tr, s, n_agents, table)
         calls.append(vc)
-        text = emit(vc, n_agents, standalone)
         if len(calls) == 1:
-            return text
-        return text.replace("(declare-const y0 Real)\n", "")
+            return vc
+        extra = GeF(YVar(7), Const(F(0)))
+        return dataclasses.replace(vc, antecedent=AndF((vc.antecedent, extra)))
 
-    monkeypatch.setattr(solver, "emit_smt", dropping)
+    monkeypatch.setattr(solver, "build_vc", widening)
     res = verify_program(programs["cut_choose"], VerifyConfig(solver=BUNDLED))
     assert res.verdict == "unknown" and len(calls) == 2
     (unknown,) = res.unknowns
     assert unknown.path_index == 1
-    assert "unknown constant 'y0'" in unknown.reason
+    assert "unknown constant 'y7'" in unknown.reason
 
 
 def test_crashed_solver_gives_unknown_with_reason(programs):

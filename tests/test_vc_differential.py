@@ -1,10 +1,15 @@
-"""The run tables (`logic.VCTable`, `smtlib.AtomTable`) against the
-table-free pipeline they replaced (`reference_vc`).  On every kept query of
-the twelve corpus protocols, pruned and with every order (on a sample of
-the paths of the larger protocols, `EVERY`), they must give `==`
-conditions, byte-identical query text and equal lowered atoms.  A run's
-tables must not reach the next run: verifying one protocol and then another
-in one process must give what a fresh process gives for the second."""
+"""The run tables (`logic.VCTable`, and the lowered conjuncts a
+`solver.BundledSolver` keeps) against the table-free pipeline they replaced
+(`reference_vc`).  On every kept query of the twelve corpus protocols,
+pruned and with every order (on a sample of the paths of the larger
+protocols, `EVERY`), they must give `==` conditions and byte-identical query
+text.  The bundled solver lowers the condition itself, with no text in
+between; its variables must be the names the text declares, and its
+assertions what `smtlib.SolverState` and the table-free
+`reference_vc.ReferenceState` make of the text, down to the order of each
+atom's coefficients.  A run's tables must not reach the next run: verifying
+one protocol and then another in one process must give what a fresh
+process gives for the second."""
 
 import json
 import os
@@ -17,8 +22,8 @@ import pytest
 import reference_vc
 from slicev.logic import VCTable, build_vc, translate
 from slicev.paths import enumerate_paths
-from slicev.smtlib import AtomTable, SolverState, parse_sexprs
-from slicev.solver import emit_smt, path_replacements
+from slicev.smtlib import SolverState, parse_sexprs
+from slicev.solver import BundledSolver, emit_smt, path_replacements
 
 from conftest import BAD_PROTOCOLS, CORPUS, GOOD_PROTOCOLS, REPO, load
 
@@ -45,15 +50,20 @@ def kept_queries(name, program, prune):
             yield tr, s
 
 
-def lowered_pairs(text, atoms):
-    """(with the table, table-free) lowering of each assertion of `text`."""
-    state, reference = SolverState(atoms), reference_vc.ReferenceState()
+def lowered_text(text):
+    """(declared names, assertions) of `text`, lowered by `SolverState`
+    and by the table-free `ReferenceState`."""
+    state, reference = SolverState(), reference_vc.ReferenceState()
+    names, by_state, by_reference = [], [], []
     for cmd in parse_sexprs(text):
         if cmd[0] == "declare-const":
             state.declare(cmd[1])
             reference.declare(cmd[1])
+            names.append(cmd[1])
         elif cmd[0] == "assert":
-            yield state.formula(cmd[1]), reference.formula(cmd[1])
+            by_state.append(state.formula(cmd[1]))
+            by_reference.append(reference.formula(cmd[1]))
+    return sorted(names), by_state, by_reference
 
 
 @pytest.mark.parametrize("prune", [True, False],
@@ -62,8 +72,7 @@ def test_tables_match_the_table_free_pipeline(protocols, prune):
     queries = 0
     for name, program in protocols.items():
         n = program.agents
-        table, atoms = VCTable(), AtomTable()      # one run per protocol
-        uses = 0
+        table, bundled = VCTable(), BundledSolver()   # one run per protocol
         for tr, s in kept_queries(name, program, prune):
             vc = build_vc(tr, s, n, table)
             old = reference_vc.build_vc(tr, s, n)
@@ -71,11 +80,12 @@ def test_tables_match_the_table_free_pipeline(protocols, prune):
             text = emit_smt(vc, n, standalone=False)
             assert text == reference_vc.emit_smt(old, n, standalone=False)
             assert emit_smt(vc, n) == reference_vc.emit_smt(old, n)
-            for new, ref in lowered_pairs(text, atoms):
-                assert new == ref, (name, s.order)
-            uses += text.count("(>=") + text.count("(= ")
+            names, by_state, by_reference = lowered_text(text)
+            # repr: equal atoms, with their coefficients in the same order
+            assert repr(by_state) == repr(by_reference), (name, s.order)
+            assert repr(bundled.lower(vc, n)) == repr((names, by_state)), (
+                name, s.order)
             queries += 1
-        assert 0 < len(atoms.lowered) < uses, name
     assert queries == QUERIES[prune]
 
 
