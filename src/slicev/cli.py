@@ -158,6 +158,7 @@ def cmd_verify(args) -> int:
         "paths": count_paths(program.body),
         "paths_checked": result.stats.paths,
         "queries": result.stats.queries,
+        "queries_from_cores": result.stats.queries_from_cores,
         "orders_pruned": result.stats.orders_pruned,
         "translate_seconds": round(result.stats.translate_seconds, 3),
         "solve_seconds": round(result.stats.solve_seconds, 3),
@@ -177,6 +178,7 @@ def cmd_verify(args) -> int:
     else:
         print(f"{args.file}: {result.verdict}  "
               f"(paths {report['paths']}, queries {report['queries']}, "
+              f"{report['queries_from_cores']} from cores, "
               f"{report['total_seconds']}s)")
         if ce is not None:
             print(f"  counterexample on path {ce.path_index}: {ce.witness}")

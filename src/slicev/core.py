@@ -22,6 +22,15 @@ def rat(text: Union[str, int, Fraction]) -> Fraction:
     return Fraction(text)
 
 
+def format_rational(x: Fraction) -> str:
+    """`x` as an SMT-LIB2 term: `5`, `(/ 1 2)` or `(- (/ 3 4))`."""
+    if x < 0:
+        return f"(- {format_rational(-x)})"
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"(/ {x.numerator} {x.denominator})"
+
+
 class SliceError(Exception):
     """Base class for all errors raised by this package."""
 

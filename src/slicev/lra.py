@@ -15,6 +15,16 @@ no `Fraction` is built inside `check`; `delta` makes a bound from a
 `Fraction` and `concrete_model` turns triples back into `Fraction`s.  It
 backs the `slicev-smt` command-line solver and can be used in-process;
 every answer is derived with exact arithmetic only.
+
+Each infeasibility is explained (Dutertre & de Moura, section 3) by the
+tags of the asserted bounds behind it, a tag being whatever the caller
+passed along with a bound.  A bound that clashes with the opposite bound of
+its variable names those two.  A `False` from `check` names the violated
+bound of the basic variable and, for every variable of its row, the bound
+that blocks the move the basic variable needs: with the row
+`x = sum(a_j * x_j)` and `x` below its lower bound, the upper bound of each
+`x_j` with `a_j > 0` and the lower bound of each one with `a_j < 0`.  Since
+the row holds whatever the bounds are, those bounds alone are infeasible.
 """
 
 from __future__ import annotations
@@ -62,7 +72,12 @@ def add_scaled(a: Triple, t: Triple, c: int, e: int) -> Triple:
 
 
 class Infeasible(Exception):
-    pass
+    """The asserted bounds clash; `reason` is the set of tags of the bounds
+    that do."""
+
+    def __init__(self, reason: frozenset = frozenset()):
+        super().__init__()
+        self.reason = reason
 
 
 def _reduced(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -77,8 +92,10 @@ class Simplex:
     """Feasibility of conjunctions of bounds over linear forms.
 
     Variables are indices.  Each distinct linear form gets one slack
-    variable; asserting an atom tightens a bound.  Bound changes are kept on
-    a trail so branches of a disjunction can be explored with push/pop.
+    variable; asserting an atom tightens a bound, tagged with `why`.  Bound
+    changes are kept on a trail so branches of a disjunction can be explored
+    with push/pop.  After `check` returns `False`, `conflict` holds the tags
+    of the bounds that explain it.
     """
 
     def __init__(self):
@@ -86,6 +103,10 @@ class Simplex:
         self.lower: list[Optional[Triple]] = []
         self.upper: list[Optional[Triple]] = []
         self.assign: list[Triple] = []
+        # the tag each current bound was asserted with
+        self.lower_why: list = []
+        self.upper_why: list = []
+        self.conflict: frozenset = frozenset()
         # basic -> integer coefficients of its non-basic variables; the row
         # is sum(coeff * x) / den[basic], with den[basic] > 0
         self.rows: dict[int, dict[int, int]] = {}
@@ -102,6 +123,8 @@ class Simplex:
         self.n += 1
         self.lower.append(None)
         self.upper.append(None)
+        self.lower_why.append(None)
+        self.upper_why.append(None)
         self.assign.append(_ZERO)
         return idx
 
@@ -150,33 +173,33 @@ class Simplex:
     def pop(self) -> None:
         target = self.marks.pop()
         while len(self.trail) > target:
-            kind, x, old = self.trail.pop()
+            kind, x, old, why = self.trail.pop()
             if kind == "lo":
-                self.lower[x] = old
+                self.lower[x], self.lower_why[x] = old, why
             else:
-                self.upper[x] = old
+                self.upper[x], self.upper_why[x] = old, why
 
-    def assert_lower(self, x: int, b: Triple) -> None:
+    def assert_lower(self, x: int, b: Triple, why=None) -> None:
         cur = self.lower[x]
         if cur is not None and not lt(cur, b):
             return
         up = self.upper[x]
         if up is not None and lt(up, b):
-            raise Infeasible()
-        self.trail.append(("lo", x, cur))
-        self.lower[x] = b
+            raise Infeasible(frozenset((self.upper_why[x], why)))
+        self.trail.append(("lo", x, cur, self.lower_why[x]))
+        self.lower[x], self.lower_why[x] = b, why
         if x not in self.rows and lt(self.assign[x], b):
             self._update_nonbasic(x, b)
 
-    def assert_upper(self, x: int, b: Triple) -> None:
+    def assert_upper(self, x: int, b: Triple, why=None) -> None:
         cur = self.upper[x]
         if cur is not None and not lt(b, cur):
             return
         lo = self.lower[x]
         if lo is not None and lt(b, lo):
-            raise Infeasible()
-        self.trail.append(("up", x, cur))
-        self.upper[x] = b
+            raise Infeasible(frozenset((self.lower_why[x], why)))
+        self.trail.append(("up", x, cur, self.upper_why[x]))
+        self.upper[x], self.upper_why[x] = b, why
         if x not in self.rows and lt(b, self.assign[x]):
             self._update_nonbasic(x, b)
 
@@ -266,6 +289,11 @@ class Simplex:
                     self._pivot(x, j, target)
                     break
             else:
+                # every variable of the row sits at its blocking bound
+                own = self.lower_why if needs_raise else self.upper_why
+                self.conflict = frozenset(
+                    [own[x]] + [self.upper_why[j] if row[j] * sign > 0
+                                else self.lower_why[j] for j in row])
                 return False
 
     def concrete_model(self, names: dict[int, str]) -> dict[str, Fraction]:

@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Union
 
+from .core import format_rational
 from .lra import Infeasible, Simplex, delta
 
 Sexpr = Union[str, tuple]
@@ -104,14 +105,6 @@ def _exact(s: Sexpr) -> Union[int, Fraction, None]:
 def parse_rational(s: Sexpr) -> Optional[Fraction]:
     r = _exact(s)
     return None if r is None else Fraction(r)
-
-
-def format_rational(x: Fraction) -> str:
-    if x < 0:
-        return f"(- {format_rational(-x)})"
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"(/ {x.numerator} {x.denominator})"
 
 
 # Formula representation the search takes, from `SolverState.formula` or
@@ -301,7 +294,10 @@ def _nnf(f):
 
 
 class _Search:
-    """DFS over disjunction branches with incremental bound assertion."""
+    """DFS over disjunction branches with incremental bound assertion.  Each
+    goal comes with the tag its bounds carry; an infeasibility found before
+    the first case split (`solve` with `top`) keeps its explanation in
+    `core`."""
 
     def __init__(self, names: list[str], deadline: Optional[float] = None):
         self.deadline = deadline
@@ -309,8 +305,9 @@ class _Search:
         self.vars = {name: self.simplex.new_var() for name in names}
         self.names = {idx: name for name, idx in self.vars.items()}
         self.model: Optional[dict] = None
+        self.core: Optional[frozenset] = None
 
-    def _assert_atom(self, atom) -> None:
+    def _assert_atom(self, atom, why) -> None:
         _k, op, coeffs, const = atom
         if not coeffs:
             value = Fraction(0)
@@ -318,30 +315,32 @@ class _Search:
                   ">=": value >= const, ">": value > const,
                   "=": value == const}[op]
             if not ok:
-                raise Infeasible()
+                raise Infeasible(frozenset([why]))
             return
         if len(coeffs) == 1:
             (name, c), = coeffs.items()
             x = self.vars[name]
             scaled = const / c
             if c > 0:
-                self._bound(x, op, scaled)
+                self._bound(x, op, scaled, why)
             else:
                 flip = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "="}
-                self._bound(x, flip[op], scaled)
+                self._bound(x, flip[op], scaled, why)
             return
         form = {self.vars[name]: c for name, c in coeffs.items()}
         s = self.simplex.slack_for(form)
-        self._bound(s, op, const)
+        self._bound(s, op, const, why)
 
-    def _bound(self, x: int, op: str, c: Fraction) -> None:
+    def _bound(self, x: int, op: str, c: Fraction, why) -> None:
         b = delta(c, -1 if op == "<" else 1 if op == ">" else 0)
         if op not in ("<=", "<"):      # >=, > and =
-            self.simplex.assert_lower(x, b)
+            self.simplex.assert_lower(x, b, why)
         if op not in (">=", ">"):      # <=, < and =
-            self.simplex.assert_upper(x, b)
+            self.simplex.assert_upper(x, b, why)
 
-    def solve(self, goals: list) -> bool:
+    def solve(self, goals: list, top: bool = False) -> bool:
+        """Whether the (formula, tag) pairs of `goals` are satisfiable
+        together with the bounds already asserted."""
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise TimeoutError("search passed its deadline")
         self.simplex.push()
@@ -349,42 +348,55 @@ class _Search:
             ors = []
             stack = list(goals)
             while stack:
-                f = stack.pop()
+                f, why = stack.pop()
                 if f == "true":
                     continue
                 if f == "false":
-                    raise Infeasible()
+                    raise Infeasible(frozenset([why]))
                 if f[0] == "atom":
-                    self._assert_atom(f)
+                    self._assert_atom(f, why)
                 elif f[0] == "and":
-                    stack.extend(f[1])
+                    stack.extend((p, why) for p in f[1])
                 else:
-                    ors.append(f[1])
+                    ors.append((f[1], why))
             if not self.simplex.check():
-                raise Infeasible()
+                raise Infeasible(self.simplex.conflict)
             if not ors:
                 self.model = self.simplex.concrete_model(self.names)
                 self.simplex.pop()
                 return True
-            first, rest = ors[0], ors[1:]
+            (first, why), rest = ors[0], ors[1:]
             for branch in first:
-                if self.solve([branch] + [("or", o) for o in rest]):
+                if self.solve([(branch, why)]
+                              + [(("or", o), w) for o, w in rest]):
                     self.simplex.pop()
                     return True
             self.simplex.pop()
             return False
-        except Infeasible:
+        except Infeasible as exc:
+            if top:
+                self.core = exc.reason
             self.simplex.pop()
             return False
 
 
 def check_assertions(names: list[str], assertions: list,
-                     deadline: Optional[float] = None
+                     deadline: Optional[float] = None,
+                     cores: Optional[list] = None
                      ) -> tuple[str, Optional[dict]]:
-    goals = [_nnf(a) for a in assertions]
+    """Decide the conjunction of `assertions` over the variables `names`:
+    ("sat", model) or ("unsat", None).  The bounds of the j-th top-level
+    conjunct of assertion i (of the assertion itself, when it is no
+    conjunction) are tagged (i, j).  An unsat answer found before any case
+    split appends its explanation, a set of those tags whose bounds alone
+    clash, to `cores` when given."""
+    goals = [(_nnf(f), (i, j)) for i, a in enumerate(assertions)
+             for j, f in enumerate(a[1] if a[0] == "and" else [a])]
     search = _Search(names, deadline)
-    if search.solve(goals):
+    if search.solve(goals, top=True):
         return "sat", search.model
+    if cores is not None and search.core is not None:
+        cores.append(search.core)
     return "unsat", None
 
 

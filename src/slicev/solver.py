@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import SliceError, Value
+from .core import SliceError, Value, format_rational
 from .interp import EnvyWitness, check_envy_free, evaluate
 from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, NotF, OrF,
@@ -65,23 +65,15 @@ def smt_name(v: Union[YVar, ZVar]) -> str:
     return f"z{v.agent}_{key}"
 
 
-def _smt_rat(x: Fraction) -> str:
-    if x < 0:
-        return f"(- {_smt_rat(-x)})"
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"(/ {x.numerator} {x.denominator})"
-
-
 def smt_term(t: Term) -> str:
     if isinstance(t, Const):
-        return _smt_rat(t.value)
+        return format_rational(t.value)
     if isinstance(t, (YVar, ZVar)):
         return smt_name(t)
     if isinstance(t, AddT):
         return f"(+ {smt_term(t.left)} {smt_term(t.right)})"
     if isinstance(t, ScaleT):
-        return f"(* {_smt_rat(t.coeff)} {smt_term(t.arg)})"
+        return f"(* {format_rational(t.coeff)} {smt_term(t.arg)})"
     raise SolverError(f"term {t!r} is not linear")
 
 
@@ -212,14 +204,26 @@ class BundledSolver:
     """The bundled solver inside this process: it decides each condition
     with the search `slicev-smt` runs, from its lowered formulas, so a
     failed query leaves nothing behind.  Each top-level conjunct (of its
-    argument, for a negation) is lowered once per solver."""
+    argument, for a negation) is lowered once per solver.
+
+    The solver also keeps a table of cores: each explanation the search
+    gives for an unsat answer found before any case split, when all its
+    bounds come from antecedent conjuncts.  Those conjuncts alone are unsat,
+    so any later condition whose antecedent has all of them is answered
+    `unsat` at once, with no lowering and no search (and so with no check
+    of the names it mentions).  Conjuncts are told apart by identity, which
+    `logic.VCTable` makes equality within a run."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
+        self.queries_from_cores = 0
         # id(conjunct) -> (conjunct, lowered, names it mentions); the entry
         # keeps the conjunct, so its id stays its own
         self.lowered: dict = {}
         self.namesets: dict = {}    # one copy of each set of names
+        # id of one conjunct of a core -> [(ids of the core's conjuncts,
+        # the conjuncts, kept so that their ids stay their own)]
+        self.cores: dict = {}
 
     def _lower(self, f: Formula, known: frozenset):
         if isinstance(f, NotF):
@@ -248,15 +252,31 @@ class BundledSolver:
 
     def check(self, vc: VC, n_agents: int) -> tuple[str, Optional[dict]]:
         from . import smtlib   # kept out of `import slicev`
+        items = (vc.antecedent.items if isinstance(vc.antecedent, AndF)
+                 else (vc.antecedent,))
+        ids = {id(item) for item in items}
+        if any(core <= ids for i in ids
+               for core, _kept in self.cores.get(i, ())):
+            self.queries_from_cores += 1
+            return "unsat", None
         deadline = time.monotonic() + self.timeout
+        cores: list = []
         try:
-            return smtlib.check_assertions(*self.lower(vc, n_agents), deadline)
+            answer = smtlib.check_assertions(*self.lower(vc, n_agents),
+                                             deadline, cores)
         except TimeoutError:
             return "timeout", None
         except Exception as exc:
             raise SolverDied(
                 f"bundled solver {' '.join(BUNDLED_SOLVER)!r} failed in "
                 f"process ({exc!r})") from exc
+        for core in cores:
+            # tags are (assertion, conjunct); assertion 0 is the antecedent
+            if all(i == 0 for i, _j in core):
+                kept = tuple(items[j] for _i, j in core)
+                self.cores.setdefault(id(kept[0]), []).append(
+                    (frozenset(map(id, kept)), kept))
+        return answer
 
     def close(self) -> None:
         pass
@@ -264,6 +284,8 @@ class BundledSolver:
 
 class SolverProcess:
     """One solver child process over stdin/stdout, used incrementally."""
+
+    queries_from_cores = 0      # it keeps no cores
 
     def __init__(self, command: list[str], timeout: float = 60.0):
         self.command = command
@@ -523,6 +545,7 @@ def start_solver(config: VerifyConfig) -> Solver:
 class VerifyStats:
     paths: int = 0
     queries: int = 0
+    queries_from_cores: int = 0     # answered unsat from a stored core
     orders_pruned: int = 0
     translate_seconds: float = 0.0
     solve_seconds: float = 0.0
@@ -566,27 +589,30 @@ def _check_path(proc: Solver, path: Path, n_agents: int,
     built = [(s, build_vc(tr, s, n_agents, table)) for s in replacements]
     stats.translate_seconds += time.monotonic() - t0
 
-    t1 = time.monotonic()
-    for s, vc in built:
-        query = emit_smt(vc, n_agents, standalone=False)
-        if config.dump_dir:
-            write_query(config.dump_dir, path.index, s, query)
-        stats.queries += 1
-        try:
-            verdict, model = check_query(proc, query, vc, n_agents)
-        except SolverDied as exc:
-            stats.solve_seconds += time.monotonic() - t1
-            return SolverVerdictUnknown(
-                f"{exc} (order {s.describe()})", path.index), stats
-        if verdict == "unsat":
-            continue
+    t1, cached = time.monotonic(), proc.queries_from_cores
+    try:
+        for s, vc in built:
+            query = emit_smt(vc, n_agents, standalone=False)
+            if config.dump_dir:
+                write_query(config.dump_dir, path.index, s, query)
+            stats.queries += 1
+            try:
+                verdict, model = check_query(proc, query, vc, n_agents)
+            except SolverDied as exc:
+                return SolverVerdictUnknown(
+                    f"{exc} (order {s.describe()})", path.index), stats
+            if verdict == "sat":
+                break
+            if verdict != "unsat":
+                return SolverVerdictUnknown(
+                    f"solver answered {verdict} (order {s.describe()})",
+                    path.index), stats
+        else:
+            return None, stats
+    finally:
         stats.solve_seconds += time.monotonic() - t1
-        if verdict == "sat":
-            return _confirm(model, s, tr, path, n_agents), stats
-        return SolverVerdictUnknown(f"solver answered {verdict} (order "
-                                    f"{s.describe()})", path.index), stats
-    stats.solve_seconds += time.monotonic() - t1
-    return None, stats
+        stats.queries_from_cores = proc.queries_from_cores - cached
+    return _confirm(model, s, tr, path, n_agents), stats
 
 
 def _confirm(model: dict, s: Replacement, tr: Translated, path: Path,
@@ -650,6 +676,8 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
                              for path in paths), config.exhaustive)
         finally:
             proc.close()
+    if config.command() == BUNDLED_SOLVER:
+        from . import smtlib  # noqa: F401  (the workers inherit it by fork)
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(config.jobs, initializer=_start_worker,
                                initargs=(config, program.agents))

@@ -5,7 +5,9 @@ the integer engine (`test_lra_differential.py`), which requires the same
 answers, models, pivots and slack rows from both.  Bounds arrive as the
 integer triples `(r, k, d)` of `slicev.lra` and become `Delta`s at
 `assert_lower`/`assert_upper`; nothing else of `slicev.lra` is used, apart
-from the `Infeasible` that the SMT-LIB front end catches."""
+from the `Infeasible` that the SMT-LIB front end catches.  It takes the tag
+that `slicev.lra` keeps with each bound and ignores it: it explains no
+infeasibility, so its `conflict` stays empty."""
 
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ class Simplex:
         self.slack_by_form: dict[tuple, int] = {}
         self.trail: list[tuple] = []
         self.marks: list[int] = []
+        self.conflict: frozenset = frozenset()
 
     # -- variables ---------------------------------------------------------
 
@@ -116,7 +119,7 @@ class Simplex:
             else:
                 self.upper[x] = old
 
-    def assert_lower(self, x: int, b: tuple[int, int, int]) -> None:
+    def assert_lower(self, x: int, b: tuple[int, int, int], why=None) -> None:
         b = of_triple(b)
         cur = self.lower[x]
         if cur is not None and b <= cur:
@@ -129,7 +132,7 @@ class Simplex:
         if x not in self.rows and self.assign[x] < b:
             self._update_nonbasic(x, b)
 
-    def assert_upper(self, x: int, b: tuple[int, int, int]) -> None:
+    def assert_upper(self, x: int, b: tuple[int, int, int], why=None) -> None:
         b = of_triple(b)
         cur = self.upper[x]
         if cur is not None and cur <= b:

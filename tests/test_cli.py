@@ -15,6 +15,7 @@ from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, ILL_TYPED_SURPLUS
 BUNDLED = f"{sys.executable} -m slicev.smtlib"
 CC = str(GOOD_PROTOCOLS["cut_choose"])
 SCF = str(GOOD_PROTOCOLS["selfridge_conway_full"])
+SCS = str(GOOD_PROTOCOLS["selfridge_conway_surplus"])
 BAD_CC = str(BAD_PROTOCOLS["cut_choose_cutter_chooses"])
 
 
@@ -54,6 +55,21 @@ def test_verify_valid_json(capsys):
     assert report["verdict"] == "valid"
     assert report["paths"] == 2
     assert report["queries"] == 2
+
+
+def test_verify_reports_queries_answered_from_cores(capsys):
+    # 162 of SCS's 216 antecedents contain a core that an earlier query's
+    # search stored; with two workers each keeps its own table, and the
+    # report sums both
+    code, out = run(capsys, "verify", SCS, "--json", "--solver", BUNDLED)
+    report = json.loads(out)
+    assert code == 0 and report["queries"] == 216
+    assert report["queries_from_cores"] == 162
+    code, out = run(capsys, "verify", SCS, "--solver", BUNDLED)
+    assert "queries 216, 162 from cores" in out
+    code, out = run(capsys, "verify", SCS, "--json", "--solver", BUNDLED,
+                    "--jobs", "2")
+    assert 0 < json.loads(out)["queries_from_cores"] < 216
 
 
 def test_verify_invalid_with_saved_counterexample(capsys, tmp_path):
@@ -152,6 +168,22 @@ def test_import_leaves_the_solver_and_the_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_pool_workers_inherit_the_solver_module():
+    # with the bundled solver, `verify --jobs 2` imports `slicev.smtlib`
+    # before the pool forks, so no worker imports it again
+    src = str(Path(slicev.__file__).resolve().parent.parent)
+    code = ("import sys, slicev\n"
+            "from slicev.solver import BUNDLED_SOLVER, VerifyConfig\n"
+            "program = slicev.parse(open(sys.argv[1]).read())\n"
+            "slicev.verify_program(program, VerifyConfig(BUNDLED_SOLVER, "
+            "jobs=2))\n"
+            "print('slicev.smtlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, CC], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "True"
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_lra
 from slicev import smtlib
@@ -115,6 +115,86 @@ def test_push_pop_restores_bounds():
     s.pop()
     s.assert_upper(x, delta(F(1)))
     assert s.check()
+
+
+# -- conflict explanations ----------------------------------------------------
+
+# a bound: (target, is lower, numerator, denominator, eps part); the target
+# indexes the three variables and then the slacks of the forms
+bounds = st.tuples(st.integers(0, 5), st.booleans(), st.integers(-4, 4),
+                   st.integers(1, 3), st.integers(-1, 1))
+forms = st.lists(st.dictionaries(st.integers(0, 2),
+                                 st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=3), max_size=3)
+
+
+def simplex_with(forms):
+    """A fresh `Simplex` with three variables and a slack for each form,
+    made in order, and the list of all of them."""
+    s = Simplex()
+    xs = [s.new_var() for _ in range(3)]
+    return s, xs + [s.slack_for({x: F(c) for x, c in f.items()})
+                    for f in forms]
+
+
+def assert_bound(s, targets, bound, why):
+    t, is_lower, num, den, k = bound
+    x = targets[t % len(targets)]
+    (s.assert_lower if is_lower else s.assert_upper)(x, delta(F(num, den), k),
+                                                     why)
+
+
+@settings(max_examples=400, deadline=None)
+@given(forms, st.lists(st.one_of(bounds, st.sampled_from(
+    ["check", "push", "pop"])), max_size=16))
+def test_explained_bounds_alone_are_infeasible(forms, ops):
+    # each bound is tagged with its index in `asserted`; an explanation,
+    # from a clashing assert or a failed check, names bounds that clash on
+    # their own, asserted into a fresh simplex with the same slack rows
+    s, targets = simplex_with(forms)
+    asserted = []
+    for op in ops:
+        reason = None
+        if op == "push":
+            s.push()
+        elif op == "pop":
+            if s.marks:
+                s.pop()
+        elif op == "check":
+            if not s.check():
+                reason = s.conflict
+        else:
+            asserted.append(op)
+            try:
+                assert_bound(s, targets, op, len(asserted) - 1)
+            except Infeasible as exc:
+                reason = exc.reason
+        if reason is None:
+            continue
+        assert reason and reason <= set(range(len(asserted)))
+        fresh, fresh_targets = simplex_with(forms)
+        try:
+            for i in sorted(reason):
+                assert_bound(fresh, fresh_targets, asserted[i], i)
+        except Infeasible:
+            continue
+        assert not fresh.check(), f"bounds {sorted(reason)} are feasible"
+
+
+def test_conflicts_name_the_clashing_bounds():
+    s = Simplex()
+    x, y, w = s.new_var(), s.new_var(), s.new_var()
+    s.assert_lower(x, delta(F(1)), "x >= 1")
+    with pytest.raises(Infeasible) as clash:
+        s.assert_upper(x, delta(F(0)), "x <= 0")
+    assert clash.value.reason == {"x >= 1", "x <= 0"}
+    # the strict cycle x > w > y > x, beside a bound that plays no part
+    for form, why in (({x: F(1), w: F(-1)}, "x > w"),
+                      ({w: F(1), y: F(-1)}, "w > y"),
+                      ({y: F(1), x: F(-1)}, "y > x")):
+        s.assert_lower(s.slack_for(form), delta(F(0), 1), why)
+    assert not s.check()
+    assert s.conflict == {"x > w", "w > y", "y > x"}
 
 
 # -- smt script driver ---------------------------------------------------------

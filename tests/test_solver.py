@@ -193,6 +193,27 @@ def test_bundled_solver_answers_check_sat():
         proc.check(hand_built_vc(GeF(ValT(1, piece), YVar(0))), 1)
 
 
+def test_only_cores_of_antecedent_conjuncts_answer_later_queries():
+    proc = BundledSolver()
+    low, high = GeF(YVar(0), Const(F(1))), GeF(Const(F(1, 2)), YVar(0))
+    other = GeF(ZVar(1, ONE_KEY), Const(F(0)))
+    # y0 >= 1 clashes with the negated goal y0 < 1/2: that core names the
+    # goal, so it answers nothing later
+    below_half = NotF(GeF(YVar(0), Const(F(1, 2))))
+    assert proc.check(hand_built_vc(AndF((low, other)), below_half), 1)[0] \
+        == "unsat"
+    assert proc.check(hand_built_vc(AndF((low, other))), 1)[0] == "sat"
+    # y0 >= 1 and y0 <= 1/2 clash on their own: a later antecedent with
+    # both is unsat, one with only one of them is not
+    assert proc.check(hand_built_vc(AndF((low, high))), 1)[0] == "unsat"
+    assert proc.queries_from_cores == 0
+    assert proc.check(hand_built_vc(AndF((other, high, low))), 1) \
+        == ("unsat", None)
+    assert proc.queries_from_cores == 1
+    assert proc.check(hand_built_vc(AndF((other, high))), 1)[0] == "sat"
+    assert proc.queries_from_cores == 1
+
+
 def test_undeclared_constant_in_a_later_query_gives_unknown(programs,
                                                             monkeypatch):
     # the second query's condition names a mark outside its replacement

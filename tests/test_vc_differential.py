@@ -9,7 +9,12 @@ assertions what `smtlib.SolverState` and the table-free
 `reference_vc.ReferenceState` make of the text, down to the order of each
 atom's coefficients.  A run's tables must not reach the next run: verifying
 one protocol and then another in one process must give what a fresh
-process gives for the second."""
+process gives for the second.
+
+The bundled solver's table of cores is checked on the same queries: every
+query it answers from a core must be `unsat` under the full search, which
+keeps no cores, and the conjuncts of every core it stores must be unsat on
+their own."""
 
 import json
 import os
@@ -22,8 +27,10 @@ import pytest
 import reference_vc
 from slicev.logic import VCTable, build_vc, translate
 from slicev.paths import enumerate_paths
-from slicev.smtlib import SolverState, parse_sexprs
-from slicev.solver import BundledSolver, emit_smt, path_replacements
+from slicev.smtlib import SolverState, check_assertions, parse_sexprs
+from slicev.solver import (
+    BundledSolver, emit_smt, lower_formula, path_replacements,
+)
 
 from conftest import BAD_PROTOCOLS, CORPUS, GOOD_PROTOCOLS, REPO, load
 
@@ -87,6 +94,40 @@ def test_tables_match_the_table_free_pipeline(protocols, prune):
                 name, s.order)
             queries += 1
     assert queries == QUERIES[prune]
+
+
+def variables(f) -> set:
+    """The names a lowered formula mentions."""
+    if f in ("true", "false"):
+        return set()
+    if f[0] == "atom":
+        return set(f[2])
+    if f[0] == "not":
+        return variables(f[1])
+    return set().union(*map(variables, f[1]))
+
+
+@pytest.mark.parametrize("prune", [True, False],
+                         ids=["pruned", "all_orders"])
+def test_answers_from_cores_hold_under_the_full_search(protocols, prune):
+    from_cores = cores = 0
+    for name, program in protocols.items():
+        n = program.agents
+        table, bundled = VCTable(), BundledSolver()   # one run per protocol
+        for tr, s in kept_queries(name, program, prune):
+            vc = build_vc(tr, s, n, table)
+            cached = bundled.queries_from_cores
+            answer = bundled.check(vc, n)
+            full = check_assertions(*bundled.lower(vc, n))
+            assert answer == full, (name, s.order)
+            from_cores += bundled.queries_from_cores - cached
+        for entries in bundled.cores.values():
+            for _ids, conjuncts in entries:
+                lowered = [lower_formula(c) for c in conjuncts]
+                names = sorted(set().union(*map(variables, lowered)))
+                assert check_assertions(names, lowered)[0] == "unsat", name
+                cores += 1
+    assert 0 < cores < from_cores
 
 
 def test_equal_replaced_subtrees_are_one_object(protocols):
