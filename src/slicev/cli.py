@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .core import SliceError
 from .interp import check_envy_free, evaluate
-from .logic import VCTable, translate
+from .logic import VCTable, translate_paths
 from .paths import count_paths, enumerate_paths
 from .solver import (
     Counterexample, SolverError, VerifyConfig, build_vc, emit_smt,
@@ -119,12 +119,11 @@ def cmd_compile(args) -> int:
             print(f"{args.file}: {v.code}: {v.message}", file=sys.stderr)
         return EXIT_VIOLATION
     queries, table = 0, VCTable()
-    for path in enumerate_paths(program.body):
-        tr = translate(path.expr)
+    for index, (tr, _decisions) in enumerate(translate_paths(program.body)):
         replacements, _pruned = path_replacements(tr, not args.all_orders)
         for s in replacements:
             vc = build_vc(tr, s, program.agents, table)
-            write_query(args.out, path.index, s,
+            write_query(args.out, index, s,
                         emit_smt(vc, program.agents, standalone=False))
             queries += 1
     msg = {"file": args.file, "queries": queries, "out": args.out}
@@ -264,6 +263,23 @@ def cmd_replay(args) -> int:
     return EXIT_VIOLATION
 
 
+def positive_seconds(text: str) -> float:
+    """A `--timeout`: a finite number of seconds above 0."""
+    seconds = float(text)
+    if not 0 < seconds < float("inf"):   # nan fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds above 0, not {text!r}")
+    return seconds
+
+
+def worker_count(text: str) -> int:
+    """A `--jobs`: an integer of at least 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="slicev",
@@ -298,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default=None,
                    help="solver command (default: z3/cvc5 if available, "
                         "else the bundled slicev-smt, run in process)")
-    p.add_argument("--timeout", type=float, default=60.0,
+    p.add_argument("--timeout", type=positive_seconds, default=60.0,
                    help="per-query timeout in seconds")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=worker_count, default=1,
+                   help="parallel workers")
     p.add_argument("--exhaustive", action="store_true",
                    help="keep going after the first counterexample")
     p.add_argument("--dump-smt", default=None, metavar="DIR",

@@ -1,8 +1,8 @@
 """Big-step evaluator for Slice with runtime envy and disjointness checks.
 
 `Walk` is the one walk over expressions.  The evaluator (`_Evaluator`) is
-its value domain and the path translator (`logic._Translator`) its term
-domain.
+its value domain, which follows the one path the values take, and the path
+translator (`logic._Translator`) its term domain, which follows every path.
 
 Evaluation keeps valuation values symbolic (sums of coeff * V_a(piece)) and
 only compares them numerically when an operator demands it.  Mark queries
@@ -84,12 +84,16 @@ def vltn_value(vs: ValuationSet, v: VltnVal) -> Fraction:
 class Walk:
     """The big-step walk over Slice expressions, written once.
 
-    It decides variable lookup (`@x` is `read` of `x`), split binding, the
-    order of `if` and `assert`, left-to-right evaluation of children, and
-    records the mark ids it reaches in pre-order.  A domain's hooks give the
-    rest: `lit`, `read`, `tuple` (tuples and pieces), `split` (the binders'
-    components), `branch` (is `then` taken?), `assume` (the guard comes as
-    a thunk), `op`, `divide`, `mark` and `valuation`.
+    `eval` is a generator: it yields the value of an expression once for
+    each path the domain follows, depth first, in `paths.enumerate_paths`
+    order.  It decides variable lookup (`@x` is `read` of `x`), split
+    binding, the order of `if` and `assert`, left-to-right evaluation of
+    children (the leftmost child's paths varying slowest), and records the
+    mark ids it reaches in pre-order.  A domain's hooks give the rest: `lit`,
+    `read`, `tuple` (tuples and pieces), `split` (the binders' components),
+    `branch` (the branches to follow, `True` for `then`), `assume` (once per
+    path of the guard), `op`, `divide`, `mark` and `valuation`.  `branch`
+    and `assume` get the guard as a thunk that starts its walk.
     """
 
     def __init__(self):
@@ -107,37 +111,56 @@ class Walk:
                 at = "@" if isinstance(e, ReadVar) else ""
                 raise SliceError(f"unbound variable {at}{e.name}")
             v = env[e.name]
-            return self.read(v) if isinstance(e, ReadVar) else v
-        if isinstance(e, Lit):
-            return self.lit(e.value)
-        if isinstance(e, Op):
-            return self.op(e, [self.eval(a, env) for a in e.args])
-        if isinstance(e, EvalQ):
-            return self.valuation(e, self.eval(e.arg, env))
-        if isinstance(e, Split):
-            comps = self.split(e, self.eval(e.scrutinee, env))
-            if len(comps) != len(e.binders):
-                raise SliceError(f"split arity mismatch: {len(e.binders)} "
-                                 f"binders, {len(comps)} components")
-            return self.eval(e.body, {**env, **dict(zip(e.binders, comps))})
-        if isinstance(e, AssertE):
-            self.assume(lambda: self.eval(e.guard, env))
-            return self.eval(e.body, env)
-        if isinstance(e, If):
-            taken = self.branch(e, self.eval(e.guard, env))
-            return self.eval(e.then if taken else e.els, env)
-        if isinstance(e, Mark):
+            yield self.read(v) if isinstance(e, ReadVar) else v
+        elif isinstance(e, Lit):
+            yield self.lit(e.value)
+        elif isinstance(e, Op):
+            for args in self._each(e.args, env):
+                yield self.op(e, args)
+        elif isinstance(e, EvalQ):
+            for v in self.eval(e.arg, env):
+                yield self.valuation(e, v)
+        elif isinstance(e, Split):
+            for v in self.eval(e.scrutinee, env):
+                comps = self.split(e, v)
+                if len(comps) != len(e.binders):
+                    raise SliceError(f"split arity mismatch: {len(e.binders)} "
+                                     f"binders, {len(comps)} components")
+                yield from self.eval(e.body,
+                                     {**env, **dict(zip(e.binders, comps))})
+        elif isinstance(e, AssertE):
+            for _ in self.assume(lambda: self.eval(e.guard, env)):
+                yield from self.eval(e.body, env)
+        elif isinstance(e, If):
+            for taken in self.branch(e, lambda: self.eval(e.guard, env)):
+                yield from self.eval(e.then if taken else e.els, env)
+        elif isinstance(e, Mark):
             self.mark_ids.append(e.mark_id)
-            return self.mark(e, self.eval(e.interval, env),
-                             self.eval(e.target, env))
-        if isinstance(e, Divide):
-            return self.divide(self.eval(e.interval, env),
-                               self.eval(e.point, env))
-        if isinstance(e, (TupleE, PieceE)):
-            return self.tuple(e, [self.eval(item, env) for item in e.items])
-        if isinstance(e, Cake):
-            return self.lit(IntervalVal(Fraction(0), Fraction(1)))
-        raise SliceError(f"unhandled expression {e!r}")
+            for iv, tv in self._each((e.interval, e.target), env):
+                yield self.mark(e, iv, tv)
+        elif isinstance(e, Divide):
+            for iv, pt in self._each((e.interval, e.point), env):
+                yield self.divide(iv, pt)
+        elif isinstance(e, (TupleE, PieceE)):
+            for items in self._each(e.items, env):
+                yield self.tuple(e, items)
+        elif isinstance(e, Cake):
+            yield self.lit(IntervalVal(Fraction(0), Fraction(1)))
+        else:
+            raise SliceError(f"unhandled expression {e!r}")
+
+    def _each(self, es: tuple, env: dict):
+        """Yield the values of `es` as a list, once per combination of their
+        paths, the first expression's paths varying slowest."""
+        if not es:
+            yield []
+            return
+        for v in self.eval(es[0], env):
+            if len(es) == 1:
+                yield [v]
+            else:
+                for rest in self._each(es[1:], env):
+                    yield [v, *rest]
 
 
 class _Evaluator(Walk):
@@ -147,10 +170,10 @@ class _Evaluator(Walk):
         self.replay = replay
         self.trace = EvalTrace()
 
-    def eval(self, e: Expr, env: dict) -> Value:
-        v = super().eval(e, env)
-        self.trace.collect(v)
-        return v
+    def eval(self, e: Expr, env: dict):
+        for v in super().eval(e, env):
+            self.trace.collect(v)
+            yield v
 
     def read(self, v: Value) -> Value:
         return read(v)
@@ -165,18 +188,21 @@ class _Evaluator(Walk):
     def split(self, e: Split, v: Value) -> list:
         return list(v.items) if isinstance(v, TupleVal) else [v]
 
-    def branch(self, e: If, guard: Value) -> bool:
-        if not isinstance(guard, BoolVal):
-            raise SliceError("if-guard did not evaluate to a boolean")
-        self.trace.branches.append((e.if_id, guard.flag))
-        return guard.flag
+    def branch(self, e: If, guard):
+        """The one branch the guard's value takes."""
+        for g in guard():
+            if not isinstance(g, BoolVal):
+                raise SliceError("if-guard did not evaluate to a boolean")
+            self.trace.branches.append((e.if_id, g.flag))
+            yield g.flag
 
-    def assume(self, guard) -> None:
-        guard = guard()
-        if not isinstance(guard, BoolVal):
-            raise SliceError("assert-guard did not evaluate to a boolean")
-        if not guard.flag:
-            raise Stuck(ASSERT_FAILED)
+    def assume(self, guard):
+        for g in guard():
+            if not isinstance(g, BoolVal):
+                raise SliceError("assert-guard did not evaluate to a boolean")
+            if not g.flag:
+                raise Stuck(ASSERT_FAILED)
+            yield
 
     def op(self, e: Op, args: list) -> Value:
         op, x, y = e.op, args[0], args[-1]   # y is x for unary operators
@@ -244,7 +270,7 @@ def evaluate(e: Expr, vs: ValuationSet,
     validated against the mark's equation before being used.
     """
     ev = _Evaluator(vs, replay)
-    return RunResult(ev.eval(e, {}), ev.trace)
+    return RunResult(next(ev.eval(e, {})), ev.trace)
 
 
 @dataclass(frozen=True)

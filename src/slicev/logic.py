@@ -294,13 +294,19 @@ _OPS = {OP_NOT: NotF, OP_GE: GeF, OP_EQ: EqF, OP_ADD: AddT}
 class _Translator(Walk):
     """The term domain of `interp.Walk`: each rule returns a reduced term,
     or a formula for a boolean, and appends its side conditions to
-    `constraint`."""
+    `constraint`.  It follows both branches of every `if`, so the walk
+    forks there, and each fork cuts the constraint, the mark ids and the
+    decisions (`branches`) back to where they stood before it takes `else`.
+    Cutting back is enough because the walk appends all it records, but
+    for an assumed guard, which goes before its own side conditions and
+    comes out again before the guard's walk resumes."""
 
     lit = staticmethod(term_of_value)
 
     def __init__(self):
         super().__init__()
         self.constraint: list[Formula] = []
+        self.branches: list[tuple[int, bool]] = []   # (if id, then taken)
 
     def tuple(self, e: Expr, items: list) -> Term:
         return (TupleT if isinstance(e, TupleE) else UnionT)(tuple(items))
@@ -309,15 +315,27 @@ class _Translator(Walk):
         n = len(e.binders)
         return [t] if n == 1 else [proj(i, t) for i in range(1, n + 1)]
 
-    def branch(self, e: If, guard: Formula) -> bool:
-        raise LogicError("if-expression inside a path")
+    def branch(self, e: If, guard):
+        """`then`, then `else`, each with every path of the guard: the path
+        an `assert` of the guard, or of its negation, would give."""
+        at, marks, decided = (len(self.constraint), len(self.mark_ids),
+                              len(self.branches))
+        for taken in (True, False):
+            del self.constraint[at:]
+            del self.mark_ids[marks:]
+            del self.branches[decided:]
+            for _ in self.assume(guard, negate=not taken):
+                self.branches.append((e.if_id, taken))
+                yield taken
 
-    def assume(self, guard) -> None:
+    def assume(self, guard, negate: bool = False):
         at = len(self.constraint)   # before the guard's side conditions
-        f = guard()
-        if not isinstance(f, Formula):
-            raise LogicError(f"not a boolean guard: {f!r}")
-        self.constraint.insert(at, f)
+        for f in guard():
+            if not isinstance(f, Formula):
+                raise LogicError(f"not a boolean guard: {f!r}")
+            self.constraint.insert(at, NotF(f) if negate else f)
+            yield
+            del self.constraint[at]   # before the guard's walk goes on
 
     def op(self, e: Op, args: list) -> Node:
         if e.op == OP_AND:
@@ -345,9 +363,12 @@ class _Translator(Walk):
         return ValT(e.agent, t)
 
 
-def translate(path_expr: Expr) -> Translated:
-    """Compute the result term and constraint of an if-free path by running
-    `interp.Walk` in the term domain (`_Translator`).
+def translate_paths(e: Expr) -> Iterator[tuple[Translated, dict]]:
+    """Every path of `e`, in `paths.enumerate_paths` order, with its
+    decisions `{if id: then taken}`: one run of `interp.Walk` in the term
+    domain (`_Translator`), which forks at each `if`, so paths that share
+    decisions share the walk up to them.  Each path's translation equals
+    `translate(paths.select_path(e, decisions))`.
 
     Split bindings substitute projections of the scrutinee's term for the
     bound variables, like the logical substitution in the definition; the
@@ -356,8 +377,15 @@ def translate(path_expr: Expr) -> Translated:
     build formulas, so the result and the constraint come out reduced.
     """
     tr = _Translator()
-    result = tr.eval(path_expr, {})
-    return Translated(result, conj(tr.constraint), tuple(tr.mark_ids))
+    for result in tr.eval(e, {}):
+        yield (Translated(result, conj(tr.constraint), tuple(tr.mark_ids)),
+               dict(tr.branches))
+
+
+def translate(path_expr: Expr) -> Translated:
+    """The result term and constraint of an if-free path (of the first
+    path, given an expression with `if`s)."""
+    return next(translate_paths(path_expr))[0]
 
 
 def envy_formula(alloc: Term, n_agents: int) -> Formula:
@@ -551,7 +579,9 @@ class VCTable:
     subtrees are one object, found by a key of the node's own fields and the
     identities of its already interned children, so no lookup rehashes a
     tree.  A path's conjuncts are hashed once per path, to find their
-    replacements so far.  `texts` keeps the SMT-LIB text of each interned
+    replacements so far, except the constraint conjuncts it shares with the
+    path before: `translate_paths` hands both the same objects, so they are
+    found by identity.  `texts` keeps the SMT-LIB text of each interned
     conjunct for `solver.emit_smt`, by id.
     """
 
@@ -577,9 +607,13 @@ class VCTable:
         if self._path is None or self._path[0] is not tr \
                 or self._path[1] != n_agents:
             done = self.replaced.setdefault
+            # the path before is still held, so its conjuncts' ids are theirs
+            last = {id(pair[0]): pair for pair in self._path[2]} \
+                if self._path else {}
             goal = envy_formula(tr.result, n_agents)
             self._path = (tr, n_agents,
-                          [(c, done(c, {})) for c in conjuncts(tr.constraint)],
+                          [last.get(id(c)) or (c, done(c, {}))
+                           for c in conjuncts(tr.constraint)],
                           [(c, done(c, {})) for c in conjuncts(goal)])
         return self._path[2], self._path[3]
 

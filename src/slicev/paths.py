@@ -78,15 +78,21 @@ def select_path(e: Expr, decisions: dict) -> Expr:
 
 def path_index(e: Expr, decisions: dict) -> int:
     """Index the selected path would get in `enumerate_paths` order."""
+    return _locate(e, decisions)[0]
+
+
+def _locate(e: Expr, decisions: dict) -> tuple[int, int]:
+    """`path_index(e, decisions)` and `count_paths(e)`, in one pass."""
     if isinstance(e, If):
-        g = path_index(e.guard, decisions)
-        ng, nt, ne = (count_paths(e.guard), count_paths(e.then),
-                      count_paths(e.els))
+        g, ng = _locate(e.guard, decisions)
         if decisions[e.if_id]:
-            return g * nt + path_index(e.then, decisions)
-        return ng * nt + g * ne + path_index(e.els, decisions)
-    kids = children(e)
-    idx = 0
-    for c in kids:
-        idx = idx * count_paths(c) + path_index(c, decisions)
-    return idx
+            t, nt = _locate(e.then, decisions)
+            return g * nt + t, ng * (nt + count_paths(e.els))
+        b, ne = _locate(e.els, decisions)
+        nt = count_paths(e.then)
+        return ng * nt + g * ne + b, ng * (nt + ne)
+    idx, total = 0, 1
+    for c in children(e):
+        i, n = _locate(c, decisions)
+        idx, total = idx * n + i, total * n
+    return idx, total

@@ -30,15 +30,15 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import SliceError, Value, format_rational
+from .core import Expr, SliceError, Value, format_rational
 from .interp import EnvyWitness, check_envy_free, evaluate
 from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, NotF, OrF,
     Replacement, ScaleT, Term, TrueF, Translated, VCTable, YVar, ZVar,
     ONE_KEY, ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
-    replacement_variables, subterms, translate,
+    replacement_variables, subterms, translate_paths,
 )
-from .paths import Path, enumerate_paths
+from .paths import select_path
 from .syntax import Program
 from .typecheck import check_wellformed
 from .valuation import (
@@ -579,12 +579,27 @@ def path_replacements(tr: Translated, prune: bool
 Outcome = Optional[Union[Counterexample, SolverVerdictUnknown]]
 
 
-def _check_path(proc: Solver, path: Path, n_agents: int,
-                config: VerifyConfig, table: VCTable
+def _walk(body: Expr, stats: VerifyStats
+          ) -> Iterator[tuple[int, Translated, dict]]:
+    """Each path of `body` as (index, translation, decisions), in path order,
+    from `translate_paths`; the walk's time goes to `stats`."""
+    leaves = enumerate(translate_paths(body))
+    while True:
+        t0 = time.monotonic()
+        leaf = next(leaves, None)
+        stats.translate_seconds += time.monotonic() - t0
+        if leaf is None:
+            return
+        index, (tr, decisions) = leaf
+        yield index, tr, decisions
+
+
+def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
+                program: Program, config: VerifyConfig, table: VCTable
                 ) -> tuple[Outcome, VerifyStats]:
+    n_agents = program.agents
     stats = VerifyStats(paths=1)
     t0 = time.monotonic()
-    tr = translate(path.expr)
     replacements, stats.orders_pruned = path_replacements(tr, config.prune)
     built = [(s, build_vc(tr, s, n_agents, table)) for s in replacements]
     stats.translate_seconds += time.monotonic() - t0
@@ -594,45 +609,47 @@ def _check_path(proc: Solver, path: Path, n_agents: int,
         for s, vc in built:
             query = emit_smt(vc, n_agents, standalone=False)
             if config.dump_dir:
-                write_query(config.dump_dir, path.index, s, query)
+                write_query(config.dump_dir, index, s, query)
             stats.queries += 1
             try:
                 verdict, model = check_query(proc, query, vc, n_agents)
             except SolverDied as exc:
                 return SolverVerdictUnknown(
-                    f"{exc} (order {s.describe()})", path.index), stats
+                    f"{exc} (order {s.describe()})", index), stats
             if verdict == "sat":
                 break
             if verdict != "unsat":
                 return SolverVerdictUnknown(
                     f"solver answered {verdict} (order {s.describe()})",
-                    path.index), stats
+                    index), stats
         else:
             return None, stats
     finally:
         stats.solve_seconds += time.monotonic() - t1
         stats.queries_from_cores = proc.queries_from_cores - cached
-    return _confirm(model, s, tr, path, n_agents), stats
+    return _confirm(model, s, tr, index, decisions, program), stats
 
 
-def _confirm(model: dict, s: Replacement, tr: Translated, path: Path,
-             n_agents: int) -> Union[Counterexample, SolverVerdictUnknown]:
-    """Replay a model through the interpreter; mandatory before Invalid."""
+def _confirm(model: dict, s: Replacement, tr: Translated, index: int,
+             decisions: dict, program: Program
+             ) -> Union[Counterexample, SolverVerdictUnknown]:
+    """Replay a model through the interpreter on the path's if-free
+    expression; mandatory before Invalid."""
     try:
-        vs = extract_valuation_set(model, s, n_agents)
+        vs = extract_valuation_set(model, s, program.agents)
         table = model_mark_table(model, tr.mark_ids)
-        run = evaluate(path.expr, vs, replay=table)
+        run = evaluate(select_path(program.body, decisions), vs, replay=table)
         ok, witness = check_envy_free(run.value, vs)
     except SliceError as exc:
         return SolverVerdictUnknown(
-            f"counterexample failed to replay: {exc}", path.index)
+            f"counterexample failed to replay: {exc}", index)
     if ok:
         return SolverVerdictUnknown(
-            "solver model did not reproduce an envy violation", path.index)
-    return Counterexample(vs, table, path.index, witness, run.value)
+            "solver model did not reproduce an envy violation", index)
+    return Counterexample(vs, table, index, witness, run.value)
 
 
-# A pool worker's (config, n_agents) and its run's `VCTable`, and its
+# A pool worker's (config, program) and its run's `VCTable`, and its
 # solver: started on the first path, so that a solver that cannot start
 # raises its own error through that path's result instead of breaking the
 # pool, and closed when the worker exits.
@@ -646,58 +663,65 @@ def _start_worker(*job) -> None:
     _job, _table = job, VCTable()
 
 
-def _check_in_worker(path: Path) -> tuple[Outcome, VerifyStats]:
+def _check_in_worker(index: int, tr: Translated, decisions: dict
+                     ) -> tuple[Outcome, VerifyStats]:
     global _proc
-    config, n_agents = _job
+    config, program = _job
     if _proc is None:
         from multiprocessing.util import Finalize
         _proc = start_solver(config)
         Finalize(None, _proc.close, exitpriority=0)
-    return _check_path(_proc, path, n_agents, config, _table)
+    return _check_path(_proc, index, tr, decisions, program, config, _table)
 
 
 def verify_program(program: Program, config: Optional[VerifyConfig] = None,
                    source: Optional[str] = None) -> VerifyResult:
-    """Full pipeline: well-formedness gate, then one query per compatible
-    (path, replacement) pair; Valid only when every query is unsat.  Only the
-    timers (summed over workers) vary with `jobs`; `source` is not needed."""
+    """Full pipeline: well-formedness gate, then one walk of the program
+    that translates every path, and one query per compatible (path,
+    replacement) pair; Valid only when every query is unsat.  Only the
+    timers (summed over workers) and `queries_from_cores` (each worker keeps
+    its own core table) vary with `jobs`; `source` is not needed."""
     config = config or VerifyConfig()
     violations = check_wellformed(program)
     if violations:
         raise SliceError(
             "protocol is not well-formed: "
             + "; ".join(v.message for v in violations))
-    paths = enumerate_paths(program.body)
+    walked = VerifyStats()
+    leaves = _walk(program.body, walked)
     if config.jobs <= 1:
         proc, table = start_solver(config), VCTable()
         try:
-            return _collect((_check_path(proc, path, program.agents, config,
-                                         table)
-                             for path in paths), config.exhaustive)
+            result = _collect((_check_path(proc, *leaf, program, config, table)
+                               for leaf in leaves), config.exhaustive)
         finally:
             proc.close()
-    if config.command() == BUNDLED_SOLVER:
-        from . import smtlib  # noqa: F401  (the workers inherit it by fork)
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(config.jobs, initializer=_start_worker,
-                               initargs=(config, program.agents))
-    try:
-        return _collect(_in_order(pool, paths, config.jobs),
-                        config.exhaustive)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    else:
+        if config.command() == BUNDLED_SOLVER:
+            from . import smtlib  # noqa: F401  (the workers inherit it by fork)
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(config.jobs, initializer=_start_worker,
+                                   initargs=(config, program))
+        try:
+            result = _collect(_in_order(pool, leaves, config.jobs),
+                              config.exhaustive)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    result.stats.add(walked)
+    return result
 
 
-def _in_order(pool, paths: Iterable[Path], ahead: int
+def _in_order(pool, leaves: Iterable[tuple], ahead: int
               ) -> Iterator[tuple[Outcome, VerifyStats]]:
-    """`_check_in_worker` over `paths` in `pool`, in path order, with at
-    most `ahead` paths submitted past the one waited for.  A worker that
-    dies ends the outcomes with one unknown."""
+    """`_check_in_worker` over `leaves`, (index, translation, decisions)
+    triples, in `pool`, in path order, with at most `ahead` paths submitted
+    past the one waited for.  A worker that dies ends the outcomes with one
+    unknown."""
     from concurrent.futures.process import BrokenProcessPool
     pending: deque = deque()   # (path index, future), oldest first
     try:
-        for path in paths:
-            pending.append((path.index, pool.submit(_check_in_worker, path)))
+        for leaf in leaves:
+            pending.append((leaf[0], pool.submit(_check_in_worker, *leaf)))
             if len(pending) > ahead:
                 yield pending[0][1].result()
                 pending.popleft()

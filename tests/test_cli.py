@@ -120,6 +120,20 @@ def test_usage_error_exit_64(capsys):
     assert main(["no-such-command", "x"]) == 64
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
+    ("--timeout", "inf"), ("--jobs", "0"), ("--jobs", "-2"),
+])
+def test_verify_rejects_a_timeout_or_jobs_out_of_range(capsys, option, value):
+    # a timeout that is not finite and positive once reached `select` as a
+    # traceback (child process) or never expired (in process); jobs below 1
+    # silently ran one process
+    assert main(["verify", CC, "--solver", BUNDLED, option, value]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be" in captured.err
+
+
 def test_missing_file_exit_64(capsys):
     assert main(["typecheck", "no/such/file.slice"]) == 64
 
@@ -218,8 +232,8 @@ def test_verify_reports_total_paths_when_short_circuiting(capsys):
 
 
 def test_verify_names_the_path_of_each_unknown(capsys):
-    # a zero timeout: the first path's query times out
-    code, out = run(capsys, "verify", CC, "--timeout", "0", "--json",
+    # a nanosecond timeout: the first path's query times out
+    code, out = run(capsys, "verify", CC, "--timeout", "1e-9", "--json",
                     "--solver", BUNDLED)
     assert code == 2
     report = json.loads(out)
@@ -227,7 +241,7 @@ def test_verify_names_the_path_of_each_unknown(capsys):
     assert report["unknowns"] == [
         {"path_index": 0, "reason": "solver answered timeout (order 0 < y0 "
                                     "< 1)"}]
-    code, out = run(capsys, "verify", CC, "--timeout", "0",
+    code, out = run(capsys, "verify", CC, "--timeout", "1e-9",
                     "--solver", BUNDLED)
     assert code == 2
     assert "  unknown on path 0: solver answered timeout (order" in out

@@ -19,7 +19,7 @@ from slicev.logic import (
     replacement_from_permutation, right, simplify, subterms,
     term_to_value, translate,
 )
-from slicev.paths import enumerate_paths
+from slicev.paths import enumerate_paths, select_path
 from slicev.solver import lower_formula, path_replacements
 from slicev.syntax import parse_expr
 from slicev.valuation import PUValuation, ValuationSet, construct_agreeing_pu
@@ -137,12 +137,16 @@ def test_mark_ids_come_out_in_pre_order():
             if isinstance(x, EqF)] == [y(4), y(7), y(1)]
 
 
-def test_translate_rejects_if_and_unnumbered_mark():
-    with pytest.raises(LogicError, match="if-expression"):
-        translate(parse_expr(
-            "if eval[1](@cake) >= eval[1](@cake) then cake else cake"))
+def test_translate_rejects_an_unnumbered_mark():
     with pytest.raises(LogicError, match="mark without identifier"):
         translate(Mark(1, parse_expr("@cake"), parse_expr("eval[1](@cake)")))
+
+
+def test_translate_of_an_if_gives_its_first_path():
+    # the walk forks at an `if`; `translate` takes the first path, `then`
+    e = parse_expr("if eval[1](@cake) >= eval[2](@cake) then cake "
+                   "else divide(cake, 1/2)")
+    assert translate(e) == translate(select_path(e, {e.if_id: True}))
 
 
 def test_translate_rejects_a_guard_that_is_not_boolean():

@@ -411,6 +411,28 @@ def test_in_process_matches_subprocess():
             assert in_process == child, (name, jobs)
 
 
+def test_verify_translates_paths_by_one_walk(programs, bad_programs,
+                                            monkeypatch):
+    # every path comes from `logic.translate_paths`: neither the path
+    # enumerator nor the one-path translation runs, under any module's name
+    # for them, and a counterexample replays on the path its decisions select
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called during verify")
+
+    for module in [m for n, m in sys.modules.items()
+                   if n == "slicev" or n.startswith("slicev.")]:
+        for name in ("enumerate_paths", "translate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    res = verify_program(programs["selfridge_conway_surplus"],
+                         VerifyConfig(solver=BUNDLED))
+    assert res.verdict == "valid" and res.stats.paths == 216
+    assert res.stats.translate_seconds > 0
+    res = verify_program(bad_programs["scs_not_forced"],
+                         VerifyConfig(solver=BUNDLED))
+    assert res.verdict == "invalid"
+
+
 def test_early_stop_leaves_no_solver_running(tmp_path):
     # each solver records its pid, then becomes the bundled solver
     record = ("import os, sys; "

@@ -25,8 +25,7 @@ from itertools import islice
 import pytest
 
 import reference_vc
-from slicev.logic import VCTable, build_vc, translate
-from slicev.paths import enumerate_paths
+from slicev.logic import VCTable, build_vc, translate_paths
 from slicev.smtlib import SolverState, check_assertions, parse_sexprs
 from slicev.solver import (
     BundledSolver, emit_smt, lower_formula, path_replacements,
@@ -49,10 +48,11 @@ def protocols():
 
 
 def kept_queries(name, program, prune):
-    paths = islice(enumerate_paths(program.body), 0, None,
+    # the paths as `verify` gets them, sharing the objects of their common
+    # prefix with the path before
+    paths = islice(translate_paths(program.body), 0, None,
                    EVERY[prune].get(name, 1))
-    for path in paths:
-        tr = translate(path.expr)
+    for tr, _decisions in paths:
         for s in path_replacements(tr, prune)[0]:
             yield tr, s
 

@@ -2,7 +2,9 @@
 (`reference_walks`).  In the term domain it must give `repr`-equal
 translations of every corpus path and of every path of `BOOLEAN_GUARDS`; in
 the value domain it must give the same runs: value, trace points, mark
-answers, branch decisions and the reason of every stuck run."""
+answers, branch decisions and the reason of every stuck run.  Forking at each
+`if`, one term walk of a whole program must give every path's translation,
+in `enumerate_paths` order."""
 
 import random
 from fractions import Fraction
@@ -15,8 +17,8 @@ from slicev.interp import (
     ASSERT_FAILED, DIVIDE_OUT_OF_RANGE, MARK_INFEASIBLE, MARK_REPLAY_MISMATCH,
     check_envy_free, evaluate,
 )
-from slicev.logic import translate
-from slicev.paths import enumerate_paths, select_path
+from slicev.logic import translate, translate_paths
+from slicev.paths import enumerate_paths, path_index, select_path
 from slicev.solver import BUNDLED_SOLVER, VerifyConfig, verify_program
 from slicev.syntax import parse, parse_expr
 from slicev.typecheck import check_wellformed
@@ -91,7 +93,9 @@ def test_evaluate_matches_on_seeded_draws(protocols):
 
 
 # Guards that no corpus protocol has: a boolean bound through `split` and
-# used later, `true`/`false` literals, and nested `not`/`and`/`or`.
+# used later, `true`/`false` literals, nested `not`/`and`/`or`, and an `if`
+# inside a guard (after a mark of the guard, and with a mark in one branch)
+# and inside `mark` and `divide` arguments.
 BOOLEAN_GUARDS = {
     "split_bound": """agents 2;
 let p = split cake in
@@ -132,6 +136,20 @@ else
   else
     (piece(p2), piece(p1))
 """,
+    "if_in_guard": """agents 2;
+let p = split cake in
+let m = split mark[1](@p, if eval[1](@p) = eval[2](@p) then 1/2 * eval[1](@p)
+                          else 1/3 * eval[1](@p)) in
+let p1, p2 = split divide(p, if m >= mark[2](@p, 1/2 * eval[2](@p)) then m
+                             else mark[2](@p, 1/2 * eval[2](@p))) in
+if mark[2](@p, 1/4 * eval[2](@p)) >= m
+   and (if eval[2](@p1) >= eval[2](@p2) then eval[1](@p2) >= eval[1](@p1)
+        else mark[1](@p, 1/4 * eval[1](@p)) >= m) then
+  (piece(p2), piece(p1))
+else
+  if eval[2](@p1) >= eval[2](@p2) then (piece(p1), piece(p2))
+  else (piece(p2), piece(p1))
+""",
 }
 
 
@@ -149,6 +167,61 @@ def test_walks_match_on_boolean_guards(name):
         if "error" not in run:
             for path in paths:
                 same_outcome(path, vs, run["marks"])
+
+
+class Consulted(dict):
+    """A decisions map that records the if ids looked up in it."""
+
+    def __init__(self, decisions):
+        super().__init__(decisions)
+        self.seen = set()
+
+    def __getitem__(self, if_id):
+        self.seen.add(if_id)
+        return super().__getitem__(if_id)
+
+
+def assert_walk_gives_every_path(body) -> int:
+    """Each path the term walk of `body` yields is the translation of the
+    path its decisions select, at that path's position, and its decisions
+    name exactly the ifs on that path; returns the count."""
+    leaves = translate_paths(body)
+    count = 0
+    for path, (tr, decisions) in zip(enumerate_paths(body), leaves):
+        consulted = Consulted(decisions)
+        selected = select_path(body, consulted)
+        assert selected == path.expr, path.index
+        assert consulted.seen == set(decisions), path.index
+        assert path_index(body, decisions) == path.index
+        alone = translate(selected)
+        assert tr == alone and repr(tr) == repr(alone), path.index
+        count += 1
+    assert next(leaves, None) is None
+    return count
+
+
+def test_walk_gives_every_corpus_path_in_order(protocols):
+    assert sum(assert_walk_gives_every_path(program.body)
+               for program in protocols.values()) == CORPUS_PATHS
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_GUARDS))
+def test_walk_gives_every_path_of_boolean_guards_in_order(name):
+    body = parse(BOOLEAN_GUARDS[name]).body
+    assert assert_walk_gives_every_path(body) == sum(
+        1 for _ in enumerate_paths(body))
+
+
+def test_walk_forks_an_if_in_a_guard_in_path_order():
+    # after the `mark` and `divide` arguments' four paths, the outer `if`
+    # takes `then` with each path of its guard (the guard's `if` taking
+    # `then` first), and only then `else`, which has two paths, with each
+    T, F = True, False
+    body = parse(BOOLEAN_GUARDS["if_in_guard"]).body
+    outer = body.body.body.body
+    pairs = [(decisions[outer.if_id], decisions[outer.guard.args[1].if_id])
+             for _tr, decisions in translate_paths(body)]
+    assert pairs == [(T, T), (T, F), (F, T), (F, T), (F, F), (F, F)] * 4
 
 
 def test_evaluate_matches_on_counterexample_replays(protocols):
