@@ -55,7 +55,7 @@ def load_json(path: str, from_json):
         try:
             return from_json(json.load(fh))
         except (ValueError, LookupError, TypeError, AttributeError,
-                SliceError) as exc:
+                ZeroDivisionError, SliceError) as exc:
             raise UsageError(f"malformed {path}: {exc!r}") from exc
 
 

@@ -578,17 +578,17 @@ class VCTable:
     Replaced nodes are hash-consed (Filliatre & Conchon, ML 2006): equal
     subtrees are one object, found by a key of the node's own fields and the
     identities of its already interned children, so no lookup rehashes a
-    tree.  A path's conjuncts are hashed once per path, to find their
-    replacements so far, except the constraint conjuncts it shares with the
-    path before: `translate_paths` hands both the same objects, so they are
-    found by identity.  `texts` keeps the SMT-LIB text of each interned
-    conjunct for `solver.emit_smt`, by id.
+    tree.  A path's constraint conjuncts are hashed once per path, to find
+    their replacements so far; its envy goal is built and hashed once per
+    distinct result term, which many paths share.  `texts` keeps the
+    SMT-LIB text of each interned conjunct for `solver.emit_smt`, by id.
     """
 
     def __init__(self):
         self.nodes: dict = {}      # (type, label, child ids) -> interned node
         self.replaced: dict = {}   # path conjunct -> {order: interned node}
         self.sides: dict = {}      # (order, n_agents) -> interned conjuncts
+        self.goals: dict = {}      # (result, n_agents) -> goal pairs
         self.texts: dict = {}      # id(interned conjunct) -> SMT-LIB text
         self._path = None          # (translation, n_agents, pairs, pairs)
 
@@ -607,14 +607,15 @@ class VCTable:
         if self._path is None or self._path[0] is not tr \
                 or self._path[1] != n_agents:
             done = self.replaced.setdefault
-            # the path before is still held, so its conjuncts' ids are theirs
-            last = {id(pair[0]): pair for pair in self._path[2]} \
-                if self._path else {}
-            goal = envy_formula(tr.result, n_agents)
-            self._path = (tr, n_agents,
-                          [last.get(id(c)) or (c, done(c, {}))
-                           for c in conjuncts(tr.constraint)],
-                          [(c, done(c, {})) for c in conjuncts(goal)])
+            key = (tr.result, n_agents)
+            goal = self.goals.get(key)
+            if goal is None:
+                goal = self.goals[key] = [
+                    (c, done(c, {}))
+                    for c in conjuncts(envy_formula(tr.result, n_agents))]
+            self._path = (tr, n_agents, [(c, done(c, {}))
+                                         for c in conjuncts(tr.constraint)],
+                          goal)
         return self._path[2], self._path[3]
 
     def replace(self, s: Replacement, source: tuple) -> Formula:

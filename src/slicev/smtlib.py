@@ -89,11 +89,11 @@ def _exact(s: Sexpr) -> Union[int, Fraction, None]:
             return None
         try:
             return Fraction(s)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             return None
     if len(s) == 3 and s[0] == "/":
         a, b = _exact(s[1]), _exact(s[2])
-        if a is not None and b is not None:
+        if a is not None and b:     # (/ a 0) is no number
             return Fraction(a, b)
     if len(s) == 2 and s[0] == "-":
         a = _exact(s[1])
@@ -295,9 +295,9 @@ def _nnf(f):
 
 class _Search:
     """DFS over disjunction branches with incremental bound assertion.  Each
-    goal comes with the tag its bounds carry; an infeasibility found before
-    the first case split (`solve` with `top`) keeps its explanation in
-    `core`."""
+    goal comes with the tag its bounds carry; a failure is explained by the
+    tags of a simplex conflict or, at a case split, by the union of its
+    branches' explanations (for an empty disjunction, by its own tag)."""
 
     def __init__(self, names: list[str], deadline: Optional[float] = None):
         self.deadline = deadline
@@ -305,7 +305,6 @@ class _Search:
         self.vars = {name: self.simplex.new_var() for name in names}
         self.names = {idx: name for name, idx in self.vars.items()}
         self.model: Optional[dict] = None
-        self.core: Optional[frozenset] = None
 
     def _assert_atom(self, atom, why) -> None:
         _k, op, coeffs, const = atom
@@ -338,9 +337,10 @@ class _Search:
         if op not in (">=", ">"):      # <=, < and =
             self.simplex.assert_upper(x, b, why)
 
-    def solve(self, goals: list, top: bool = False) -> bool:
-        """Whether the (formula, tag) pairs of `goals` are satisfiable
-        together with the bounds already asserted."""
+    def solve(self, goals: list) -> None:
+        """Satisfy the (formula, tag) pairs of `goals` together with the
+        bounds already asserted, leaving a model in `model`, or raise
+        `Infeasible` with the explanation."""
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise TimeoutError("search passed its deadline")
         self.simplex.push()
@@ -363,21 +363,18 @@ class _Search:
                 raise Infeasible(self.simplex.conflict)
             if not ors:
                 self.model = self.simplex.concrete_model(self.names)
-                self.simplex.pop()
-                return True
+                return
             (first, why), rest = ors[0], ors[1:]
+            reason = frozenset() if first else frozenset([why])
             for branch in first:
-                if self.solve([(branch, why)]
-                              + [(("or", o), w) for o, w in rest]):
-                    self.simplex.pop()
-                    return True
+                try:
+                    return self.solve([(branch, why)]
+                                      + [(("or", o), w) for o, w in rest])
+                except Infeasible as exc:
+                    reason |= exc.reason
+            raise Infeasible(reason)
+        finally:
             self.simplex.pop()
-            return False
-        except Infeasible as exc:
-            if top:
-                self.core = exc.reason
-            self.simplex.pop()
-            return False
 
 
 def check_assertions(names: list[str], assertions: list,
@@ -387,17 +384,19 @@ def check_assertions(names: list[str], assertions: list,
     """Decide the conjunction of `assertions` over the variables `names`:
     ("sat", model) or ("unsat", None).  The bounds of the j-th top-level
     conjunct of assertion i (of the assertion itself, when it is no
-    conjunction) are tagged (i, j).  An unsat answer found before any case
-    split appends its explanation, a set of those tags whose bounds alone
-    clash, to `cores` when given."""
+    conjunction) are tagged (i, j).  Every unsat answer appends its
+    explanation, a set of those tags whose conjuncts alone are unsat, to
+    `cores` when given."""
     goals = [(_nnf(f), (i, j)) for i, a in enumerate(assertions)
              for j, f in enumerate(a[1] if a[0] == "and" else [a])]
     search = _Search(names, deadline)
-    if search.solve(goals, top=True):
-        return "sat", search.model
-    if cores is not None and search.core is not None:
-        cores.append(search.core)
-    return "unsat", None
+    try:
+        search.solve(goals)
+    except Infeasible as exc:
+        if cores is not None:
+            cores.append(exc.reason)
+        return "unsat", None
+    return "sat", search.model
 
 
 def run_command(state: SolverState, cmd: Sexpr, out) -> bool:

@@ -206,13 +206,13 @@ class BundledSolver:
     failed query leaves nothing behind.  Each top-level conjunct (of its
     argument, for a negation) is lowered once per solver.
 
-    The solver also keeps a table of cores: each explanation the search
-    gives for an unsat answer found before any case split, when all its
-    bounds come from antecedent conjuncts.  Those conjuncts alone are unsat,
-    so any later condition whose antecedent has all of them is answered
-    `unsat` at once, with no lowering and no search (and so with no check
-    of the names it mentions).  Conjuncts are told apart by identity, which
-    `logic.VCTable` makes equality within a run."""
+    The solver also keeps a table of cores: the explanation the search
+    gives for each unsat answer, when all its tags name antecedent
+    conjuncts.  Those conjuncts alone are unsat, so any later condition
+    whose antecedent has all of them is answered `unsat` at once, with no
+    lowering and no search (and so with no check of the names it
+    mentions).  Conjuncts are told apart by identity, which `logic.VCTable`
+    makes equality within a run."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
@@ -406,19 +406,23 @@ class SolverVerdictUnknown:
 
 
 def parse_model(text: str) -> dict[str, Fraction]:
+    """The values of a `get-model` answer; a malformed one raises
+    `SolverError`."""
     from .smtlib import parse_sexprs, parse_rational
-    (sexpr,) = parse_sexprs(text)
+    try:
+        (sexpr,) = parse_sexprs(text)
+    except ValueError as exc:
+        raise SolverError(f"cannot parse model {text!r}") from exc
     if sexpr and sexpr[0] == "model":   # older printers wrap with `model`
         sexpr = sexpr[1:]
     out = {}
     for item in sexpr:
-        if not isinstance(item, tuple) or item[0] != "define-fun":
+        if not isinstance(item, tuple) or item[:1] != ("define-fun",):
             continue
-        name = item[1]
-        value = parse_rational(item[-1])
+        value = parse_rational(item[-1]) if len(item) == 5 else None
         if value is None:
-            raise SolverError(f"cannot parse model value for {name}")
-        out[name] = value
+            raise SolverError(f"cannot parse model entry {item!r}")
+        out[item[1]] = value
     return out
 
 

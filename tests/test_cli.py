@@ -255,6 +255,31 @@ def test_broken_solver_command_exits_two(capsys):
         assert "cannot start solver" in capsys.readouterr().err
 
 
+# A solver that answers `sat` to every query and `model` to `(get-model)`.
+FAKE_SOLVER = """
+import sys
+for line in iter(sys.stdin.readline, ""):
+    if line.startswith("(check-sat)"):
+        print("sat", flush=True)
+    elif line.startswith("(get-model)"):
+        print({model!r}, flush=True)
+"""
+
+
+@pytest.mark.parametrize("model", ["((define-fun))",
+                                   "((define-fun y0 () Real (/ 1 0)))",
+                                   "note ((define-fun y0 () Real 1))"])
+def test_malformed_model_is_unknown(capsys, tmp_path, model):
+    script = tmp_path / "solver.py"
+    script.write_text(FAKE_SOLVER.format(model=model))
+    command = f"{sys.executable} {script}"
+    assert main(["verify", CC, "--solver", command]) == 2
+    out = capsys.readouterr().out
+    assert "unknown on path 0" in out
+    assert f"solver {command!r} died or misbehaved" in out
+    assert "cannot parse model" in out
+
+
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     def interrupted(_args):
         raise KeyboardInterrupt
@@ -280,6 +305,31 @@ def test_malformed_json_input_is_a_usage_error(capsys, tmp_path, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+ZERO_DENOMINATOR = {"agents": 2, "valuations": [
+    {"type": "piecewise_uniform", "support": [["0", "1/0"]]},
+    {"type": "piecewise_uniform", "support": [["0", "1"]]}]}
+
+
+@pytest.mark.parametrize("command", ["replay", "simulate"])
+def test_zero_denominator_in_json_input_is_a_usage_error(capsys, tmp_path,
+                                                         command):
+    bad = tmp_path / "input.json"
+    if command == "replay":
+        bad.write_text(json.dumps({"valuations": ZERO_DENOMINATOR,
+                                   "mark_table": {"0": "1/2"},
+                                   "path_index": 0}))
+        argv = [command, CC, str(bad)]
+    else:
+        bad.write_text(json.dumps(ZERO_DENOMINATOR))
+        argv = [command, CC, "--valuations", str(bad)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "ZeroDivisionError" in captured.err
     assert captured.err.count("\n") == 1
 
 

@@ -442,3 +442,58 @@ def test_randomized_against_oracle(monkeypatch):
             for vals in itertools.product(grid, repeat=len(names)):
                 m = dict(zip(names, vals))
                 assert not all(_eval(f, m) for f in fs), (fs, m)
+
+
+# -- explanations of unsat answers ---------------------------------------------
+
+def atom(op, coeffs, const):
+    return ("atom", op, {n: F(c) for n, c in coeffs.items()}, F(const))
+
+
+def test_an_unsat_answer_under_a_split_is_explained():
+    # x <= 0 clashes with each branch of (or (x >= 1) (x >= 2)); y >= 5
+    # plays no part
+    either = ("or", [atom(">=", {"x": 1}, 1), atom(">=", {"x": 1}, 2)])
+    cores = []
+    assert check_assertions(["x", "y"], [atom("<=", {"x": 1}, 0), either,
+                                         atom(">=", {"y": 1}, 5)],
+                            cores=cores) == ("unsat", None)
+    assert cores == [{(0, 0), (1, 0)}]
+
+
+def test_an_empty_disjunction_is_explained_by_its_own_tag():
+    cores = []
+    assertions = [("and", [atom("<=", {"x": 1}, 0), ("or", [])])]
+    assert check_assertions(["x"], assertions, cores=cores)[0] == "unsat"
+    assert cores == [{(0, 1)}]
+
+
+NAMES = ["a", "b", "c"]
+atoms = st.builds(
+    lambda op, cs, num, den: atom(op, dict(zip(NAMES, cs)), F(num, den)),
+    st.sampled_from(["<=", "<", ">=", ">", "="]),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    st.integers(-4, 4), st.integers(1, 3))
+formulas = st.recursive(
+    st.one_of(atoms, st.sampled_from(["true", "false"])),
+    lambda kids: st.one_of(
+        st.builds(lambda ps: ("or", ps), st.lists(kids, max_size=3)),
+        st.builds(lambda ps: ("and", ps), st.lists(kids, max_size=3)),
+        st.builds(lambda p: ("not", p), kids)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(formulas, min_size=1, max_size=4))
+def test_every_unsat_answer_names_conjuncts_unsat_alone(assertions):
+    cores = []
+    verdict, _model = check_assertions(NAMES, assertions, cores=cores)
+    if verdict == "sat":
+        assert cores == []
+        return
+    (core,) = cores
+    conjuncts = {(i, j): f for i, a in enumerate(assertions)
+                 for j, f in enumerate(a[1] if a[0] == "and" else [a])}
+    assert core and core <= conjuncts.keys()
+    named = [conjuncts[tag] for tag in sorted(core)]
+    assert check_assertions(NAMES, named)[0] == "unsat", sorted(core)

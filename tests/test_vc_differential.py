@@ -25,6 +25,7 @@ from itertools import islice
 import pytest
 
 import reference_vc
+from slicev import logic
 from slicev.logic import VCTable, build_vc, translate_paths
 from slicev.smtlib import SolverState, check_assertions, parse_sexprs
 from slicev.solver import (
@@ -48,8 +49,7 @@ def protocols():
 
 
 def kept_queries(name, program, prune):
-    # the paths as `verify` gets them, sharing the objects of their common
-    # prefix with the path before
+    # the paths as `verify` gets them, from one forking walk
     paths = islice(translate_paths(program.body), 0, None,
                    EVERY[prune].get(name, 1))
     for tr, _decisions in paths:
@@ -140,6 +140,23 @@ def test_equal_replaced_subtrees_are_one_object(protocols):
         for item in (*vc.antecedent.items, *vc.negated_goal.arg.items):
             assert seen.setdefault(item, item) is item
     assert len(seen) < sum(len(vc.antecedent.items) for vc in vcs)
+
+
+def test_each_envy_goal_is_built_once_per_result(protocols, monkeypatch):
+    calls, envy_formula = [], logic.envy_formula
+
+    def counted(*args):
+        calls.append(args)
+        return envy_formula(*args)
+
+    monkeypatch.setattr(logic, "envy_formula", counted)
+    program = protocols["selfridge_conway_surplus"]
+    table, paths = VCTable(), 0
+    for tr, _decisions in translate_paths(program.body):
+        for s in path_replacements(tr, True)[0]:
+            build_vc(tr, s, program.agents, table)
+        paths += 1
+    assert (paths, len(calls)) == (216, 18)
 
 
 RUN = """
