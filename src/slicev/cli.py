@@ -146,11 +146,11 @@ def cmd_verify(args) -> int:
         return EXIT_VIOLATION
     config = VerifyConfig(
         solver=args.solver.split() if args.solver else None,
-        timeout=args.timeout, jobs=args.jobs, exhaustive=args.exhaustive,
+        timeout=args.timeout, exhaustive=args.exhaustive,
         dump_dir=args.dump_smt, prune=not args.all_orders)
-    t0 = time.time()
+    t0 = time.monotonic()
     result = verify_program(program, config)
-    elapsed = time.time() - t0
+    elapsed = time.monotonic() - t0
     report = {
         "file": args.file,
         "verdict": result.verdict,
@@ -240,6 +240,10 @@ def cmd_simulate(args) -> int:
 def cmd_replay(args) -> int:
     program = load_program(args.file)
     stored = load_json(args.counterexample, Counterexample.from_json)
+    if stored.valuations.n_agents != program.agents:
+        print("counterexample has the wrong number of agents",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         alloc, witness = replay_counterexample(program, stored)
     except SliceError as exc:
@@ -270,14 +274,6 @@ def positive_seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number of seconds above 0, not {text!r}")
     return seconds
-
-
-def worker_count(text: str) -> int:
-    """A `--jobs`: an integer of at least 1."""
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {text!r}")
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "else the bundled slicev-smt, run in process)")
     p.add_argument("--timeout", type=positive_seconds, default=60.0,
                    help="per-query timeout in seconds")
-    p.add_argument("--jobs", type=worker_count, default=1,
-                   help="parallel workers")
     p.add_argument("--exhaustive", action="store_true",
                    help="keep going after the first counterexample")
     p.add_argument("--dump-smt", default=None, metavar="DIR",

@@ -571,9 +571,9 @@ class VC:
 
 
 class VCTable:
-    """The tables of one verification run (a `verify_program` call, or one
-    pool worker), so that each distinct conjunct is replaced once per order
-    and each order's side formula is built once.
+    """The tables of one verification run (a `verify_program` call), so
+    that each distinct conjunct is replaced once per order and each order's
+    side formula is built once.
 
     Replaced nodes are hash-consed (Filliatre & Conchon, ML 2006): equal
     subtrees are one object, found by a key of the node's own fields and the

@@ -21,14 +21,12 @@ import math
 import os
 import select
 import shutil
-import signal
 import subprocess
 import sys
 import time
-from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .core import Expr, SliceError, Value, format_rational
 from .interp import EnvyWitness, check_envy_free, evaluate
@@ -527,7 +525,7 @@ class StoredCounterexample:
 class VerifyConfig:
     solver: Optional[list[str]] = None
     timeout: float = 60.0
-    jobs: int = 1
+    jobs: int = 1   # unread; perfbench sets it (ROADMAP item 11 drops it)
     exhaustive: bool = False
     dump_dir: Optional[str] = None
     prune: bool = True
@@ -547,16 +545,16 @@ def start_solver(config: VerifyConfig) -> Solver:
 
 @dataclass
 class VerifyStats:
+    """Counts and timers of one `verify_program` run.  The two timers
+    cover disjoint stretches of the run, so their sum stays below its wall
+    time."""
+
     paths: int = 0
     queries: int = 0
     queries_from_cores: int = 0     # answered unsat from a stored core
     orders_pruned: int = 0
     translate_seconds: float = 0.0
     solve_seconds: float = 0.0
-
-    def add(self, o: VerifyStats) -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(o, f.name))
 
 
 @dataclass
@@ -580,9 +578,6 @@ def path_replacements(tr: Translated, prune: bool
     return kept, math.factorial(len(tr.mark_ids)) - len(kept)
 
 
-Outcome = Optional[Union[Counterexample, SolverVerdictUnknown]]
-
-
 def _walk(body: Expr, stats: VerifyStats
           ) -> Iterator[tuple[int, Translated, dict]]:
     """Each path of `body` as (index, translation, decisions), in path order,
@@ -599,16 +594,20 @@ def _walk(body: Expr, stats: VerifyStats
 
 
 def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
-                program: Program, config: VerifyConfig, table: VCTable
-                ) -> tuple[Outcome, VerifyStats]:
+                program: Program, config: VerifyConfig, table: VCTable,
+                stats: VerifyStats
+                ) -> Optional[Union[Counterexample, SolverVerdictUnknown]]:
+    """Check every kept order of one path, counting into `stats`; None when
+    every query is unsat."""
     n_agents = program.agents
-    stats = VerifyStats(paths=1)
+    stats.paths += 1
     t0 = time.monotonic()
-    replacements, stats.orders_pruned = path_replacements(tr, config.prune)
+    replacements, pruned = path_replacements(tr, config.prune)
+    stats.orders_pruned += pruned
     built = [(s, build_vc(tr, s, n_agents, table)) for s in replacements]
     stats.translate_seconds += time.monotonic() - t0
 
-    t1, cached = time.monotonic(), proc.queries_from_cores
+    t1 = time.monotonic()
     try:
         for s, vc in built:
             query = emit_smt(vc, n_agents, standalone=False)
@@ -619,19 +618,18 @@ def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
                 verdict, model = check_query(proc, query, vc, n_agents)
             except SolverDied as exc:
                 return SolverVerdictUnknown(
-                    f"{exc} (order {s.describe()})", index), stats
+                    f"{exc} (order {s.describe()})", index)
             if verdict == "sat":
                 break
             if verdict != "unsat":
                 return SolverVerdictUnknown(
                     f"solver answered {verdict} (order {s.describe()})",
-                    index), stats
+                    index)
         else:
-            return None, stats
+            return None
     finally:
         stats.solve_seconds += time.monotonic() - t1
-        stats.queries_from_cores = proc.queries_from_cores - cached
-    return _confirm(model, s, tr, index, decisions, program), stats
+    return _confirm(model, s, tr, index, decisions, program)
 
 
 def _confirm(model: dict, s: Replacement, tr: Translated, index: int,
@@ -653,103 +651,34 @@ def _confirm(model: dict, s: Replacement, tr: Translated, index: int,
     return Counterexample(vs, table, index, witness, run.value)
 
 
-# A pool worker's (config, program) and its run's `VCTable`, and its
-# solver: started on the first path, so that a solver that cannot start
-# raises its own error through that path's result instead of breaking the
-# pool, and closed when the worker exits.
-_job = _table = _proc = None
-
-
-def _start_worker(*job) -> None:
-    # Ctrl-C is left to the parent, which stops the pool as on any exit.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _job, _table
-    _job, _table = job, VCTable()
-
-
-def _check_in_worker(index: int, tr: Translated, decisions: dict
-                     ) -> tuple[Outcome, VerifyStats]:
-    global _proc
-    config, program = _job
-    if _proc is None:
-        from multiprocessing.util import Finalize
-        _proc = start_solver(config)
-        Finalize(None, _proc.close, exitpriority=0)
-    return _check_path(_proc, index, tr, decisions, program, config, _table)
-
-
 def verify_program(program: Program, config: Optional[VerifyConfig] = None,
                    source: Optional[str] = None) -> VerifyResult:
     """Full pipeline: well-formedness gate, then one walk of the program
     that translates every path, and one query per compatible (path,
-    replacement) pair; Valid only when every query is unsat.  Only the
-    timers (summed over workers) and `queries_from_cores` (each worker keeps
-    its own core table) vary with `jobs`; `source` is not needed."""
+    replacement) pair, all in this process with one `VCTable` and one
+    solver; Valid only when every query is unsat.  `source` is not
+    needed."""
     config = config or VerifyConfig()
     violations = check_wellformed(program)
     if violations:
         raise SliceError(
             "protocol is not well-formed: "
             + "; ".join(v.message for v in violations))
-    walked = VerifyStats()
-    leaves = _walk(program.body, walked)
-    if config.jobs <= 1:
-        proc, table = start_solver(config), VCTable()
-        try:
-            result = _collect((_check_path(proc, *leaf, program, config, table)
-                               for leaf in leaves), config.exhaustive)
-        finally:
-            proc.close()
-    else:
-        if config.command() == BUNDLED_SOLVER:
-            from . import smtlib  # noqa: F401  (the workers inherit it by fork)
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(config.jobs, initializer=_start_worker,
-                                   initargs=(config, program))
-        try:
-            result = _collect(_in_order(pool, leaves, config.jobs),
-                              config.exhaustive)
-        finally:
-            pool.shutdown(cancel_futures=True)
-    result.stats.add(walked)
-    return result
-
-
-def _in_order(pool, leaves: Iterable[tuple], ahead: int
-              ) -> Iterator[tuple[Outcome, VerifyStats]]:
-    """`_check_in_worker` over `leaves`, (index, translation, decisions)
-    triples, in `pool`, in path order, with at most `ahead` paths submitted
-    past the one waited for.  A worker that dies ends the outcomes with one
-    unknown."""
-    from concurrent.futures.process import BrokenProcessPool
-    pending: deque = deque()   # (path index, future), oldest first
-    try:
-        for leaf in leaves:
-            pending.append((leaf[0], pool.submit(_check_in_worker, *leaf)))
-            if len(pending) > ahead:
-                yield pending[0][1].result()
-                pending.popleft()
-        while pending:
-            yield pending[0][1].result()
-            pending.popleft()
-    except BrokenProcessPool as exc:
-        index = pending[0][0] if pending else None   # first path unanswered
-        yield SolverVerdictUnknown(f"a worker process died ({exc})",
-                                   index), VerifyStats()
-
-
-def _collect(outcomes: Iterable, exhaustive: bool) -> VerifyResult:
-    """Sum the stats of `outcomes`, (outcome, stats) pairs in path order, up
-    to the first counterexample or unknown, or to the end if `exhaustive`."""
     result = VerifyResult("valid")
-    for outcome, stats in outcomes:
-        result.stats.add(stats)
-        if isinstance(outcome, Counterexample):
-            result.counterexamples.append(outcome)
-        elif outcome is not None:
-            result.unknowns.append(outcome)
-        if outcome is not None and not exhaustive:
-            break
+    proc, table = start_solver(config), VCTable()
+    try:
+        for leaf in _walk(program.body, result.stats):
+            outcome = _check_path(proc, *leaf, program, config, table,
+                                  result.stats)
+            if isinstance(outcome, Counterexample):
+                result.counterexamples.append(outcome)
+            elif outcome is not None:
+                result.unknowns.append(outcome)
+            if outcome is not None and not config.exhaustive:
+                break
+        result.stats.queries_from_cores = proc.queries_from_cores
+    finally:
+        proc.close()
     if result.counterexamples:
         result.verdict = "invalid"
     elif result.unknowns:

@@ -67,10 +67,8 @@ def verify_results(programs):
     results = {}
     for name, path in GOOD_PROTOCOLS.items():
         source = load_source(path)
-        jobs = 2 if name.startswith("selfridge") else 1
         t0 = time.monotonic()
-        res = verify_program(parse(source),
-                             VerifyConfig(solver=BUNDLED, jobs=jobs),
+        res = verify_program(parse(source), VerifyConfig(solver=BUNDLED),
                              source=source)
         results[name] = (res, time.monotonic() - t0)
     return results

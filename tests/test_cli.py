@@ -59,17 +59,29 @@ def test_verify_valid_json(capsys):
 
 def test_verify_reports_queries_answered_from_cores(capsys):
     # 162 of SCS's 216 antecedents contain a core that an earlier query's
-    # search stored; with two workers each keeps its own table, and the
-    # report sums both
+    # search stored in the run's one core table
     code, out = run(capsys, "verify", SCS, "--json", "--solver", BUNDLED)
     report = json.loads(out)
     assert code == 0 and report["queries"] == 216
     assert report["queries_from_cores"] == 162
     code, out = run(capsys, "verify", SCS, "--solver", BUNDLED)
     assert "queries 216, 162 from cores" in out
-    code, out = run(capsys, "verify", SCS, "--json", "--solver", BUNDLED,
-                    "--jobs", "2")
-    assert 0 < json.loads(out)["queries_from_cores"] < 216
+
+
+@pytest.mark.parametrize("protocol", [*GOOD_PROTOCOLS.values(),
+                                      *BAD_PROTOCOLS.values()],
+                         ids=lambda path: path.stem)
+def test_verify_counters_add_up(capsys, protocol):
+    # the two timers cover disjoint stretches of one process's run, so they
+    # add up to at most its wall time (each figure is rounded to the
+    # millisecond, so the sum may pass it by that rounding)
+    code, out = run(capsys, "verify", str(protocol), "--json", "--solver",
+                    BUNDLED)
+    report = json.loads(out)
+    assert code == (0 if report["verdict"] == "valid" else 1)
+    assert (report["translate_seconds"] + report["solve_seconds"]
+            <= report["total_seconds"] + 0.0015)
+    assert report["queries_from_cores"] <= report["queries"]
 
 
 def test_verify_invalid_with_saved_counterexample(capsys, tmp_path):
@@ -122,12 +134,11 @@ def test_usage_error_exit_64(capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
-    ("--timeout", "inf"), ("--jobs", "0"), ("--jobs", "-2"),
+    ("--timeout", "inf"),
 ])
 def test_verify_rejects_a_timeout_or_jobs_out_of_range(capsys, option, value):
     # a timeout that is not finite and positive once reached `select` as a
-    # traceback (child process) or never expired (in process); jobs below 1
-    # silently ran one process
+    # traceback (child process) or never expired (in process)
     assert main(["verify", CC, "--solver", BUNDLED, option, value]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -171,33 +182,23 @@ def test_unreadable_protocol_is_a_usage_error(capsys, tmp_path, command,
 
 
 def test_import_leaves_the_solver_and_the_pool_unloaded():
-    # `slicev.smtlib`, `slicev.lra` and `multiprocessing` are imported only
-    # when a query is checked or a pool starts, so that commands which never
-    # solve start fast and small
+    # `slicev.smtlib` and `slicev.lra` are imported only when a query is
+    # checked, so that commands which never solve start fast and small; no
+    # run forks a pool, whatever `jobs` a caller still passes
     src = str(Path(slicev.__file__).resolve().parent.parent)
-    code = ("import sys, slicev, slicev.cli; print(sorted(m for m in "
-            "('slicev.smtlib', 'slicev.lra', 'multiprocessing') "
-            "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-
-
-def test_pool_workers_inherit_the_solver_module():
-    # with the bundled solver, `verify --jobs 2` imports `slicev.smtlib`
-    # before the pool forks, so no worker imports it again
-    src = str(Path(slicev.__file__).resolve().parent.parent)
-    code = ("import sys, slicev\n"
+    loaded = ("print(sorted(m for m in ('slicev.smtlib', 'slicev.lra', "
+              "'multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    code = (f"import sys, slicev, slicev.cli; {loaded}\n"
             "from slicev.solver import BUNDLED_SOLVER, VerifyConfig\n"
             "program = slicev.parse(open(sys.argv[1]).read())\n"
-            "slicev.verify_program(program, VerifyConfig(BUNDLED_SOLVER, "
-            "jobs=2))\n"
-            "print('slicev.smtlib' in sys.modules)")
+            "print(slicev.verify_program(program, VerifyConfig(BUNDLED_SOLVER, "
+            "jobs=2)).verdict)\n"
+            f"{loaded}")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, CC], env=env,
+    out = subprocess.run([sys.executable, "-c", code, BAD_CC], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "True"
+    assert out.split("\n") == [
+        "[]", "invalid", "['slicev.lra', 'slicev.smtlib']", ""]
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
@@ -248,11 +249,9 @@ def test_verify_names_the_path_of_each_unknown(capsys):
 
 
 def test_broken_solver_command_exits_two(capsys):
-    for jobs in ("1", "2"):
-        code = main(["verify", CC, "--solver",
-                     "definitely-no-such-solver-binary", "--jobs", jobs])
-        assert code == 2
-        assert "cannot start solver" in capsys.readouterr().err
+    code = main(["verify", CC, "--solver", "definitely-no-such-solver-binary"])
+    assert code == 2
+    assert "cannot start solver" in capsys.readouterr().err
 
 
 # A solver that answers `sat` to every query and `model` to `(get-model)`.
@@ -414,6 +413,18 @@ SIMULATE_JSON = """{
   }
 }
 """
+
+
+def test_replay_of_another_agent_count_is_a_usage_error(capsys, tmp_path):
+    # a 2-agent counterexample replayed on a 3-agent protocol once got stuck
+    # in the interpreter and exited 2, as if the replay were inconclusive
+    ce_file = tmp_path / "ce.json"
+    ce_file.write_text(json.dumps(CE_CUTTER_CHOOSES))
+    code = main(["replay", str(BAD_PROTOCOLS["scs_not_forced"]), str(ce_file)])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "counterexample has the wrong number of agents\n"
 
 
 def test_replay_json_output_is_pinned(capsys, tmp_path):

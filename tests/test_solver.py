@@ -135,12 +135,11 @@ def test_timeout_maps_to_unknown():
 
 def test_bundled_timeout_gives_unknown(programs):
     # a zero timeout: the in-process search is past its deadline at once
-    for jobs in (1, 2):
-        res = verify_program(programs["cut_choose"],
-                             VerifyConfig(solver=BUNDLED, timeout=0, jobs=jobs))
-        assert res.verdict == "unknown"
-        (unknown,) = res.unknowns
-        assert "solver answered timeout" in unknown.reason
+    res = verify_program(programs["cut_choose"],
+                         VerifyConfig(solver=BUNDLED, timeout=0))
+    assert res.verdict == "unknown"
+    (unknown,) = res.unknowns
+    assert "solver answered timeout" in unknown.reason
 
 
 def test_failing_bundled_solver_gives_unknown(programs, monkeypatch, capfd):
@@ -148,13 +147,11 @@ def test_failing_bundled_solver_gives_unknown(programs, monkeypatch, capfd):
         raise RuntimeError("search broke")
 
     monkeypatch.setattr(smtlib, "check_assertions", broken)
-    for jobs in (1, 2):   # pool workers fork after the patch
-        res = verify_program(programs["cut_choose"],
-                             VerifyConfig(solver=BUNDLED, jobs=jobs))
-        assert res.verdict == "unknown"
-        (unknown,) = res.unknowns
-        assert f"bundled solver {' '.join(BUNDLED)!r}" in unknown.reason
-        assert "RuntimeError('search broke')" in unknown.reason
+    res = verify_program(programs["cut_choose"], VerifyConfig(solver=BUNDLED))
+    assert res.verdict == "unknown"
+    (unknown,) = res.unknowns
+    assert f"bundled solver {' '.join(BUNDLED)!r}" in unknown.reason
+    assert "RuntimeError('search broke')" in unknown.reason
     assert "Traceback" not in capfd.readouterr().err
 
 
@@ -240,45 +237,40 @@ def test_crashed_solver_gives_unknown_with_reason(programs):
     # a solver that dies on start prints a traceback instead of an answer
     command = [sys.executable, "-c", "import slicev_no_such_module"]
     source = load_source(GOOD_PROTOCOLS["cut_choose"])
-    for jobs in (1, 2):
-        res = verify_program(programs["cut_choose"],
-                             VerifyConfig(solver=command, jobs=jobs),
-                             source=source)
-        assert res.verdict == "unknown"
-        (unknown,) = res.unknowns
-        assert " ".join(command) in unknown.reason
-        assert "'Traceback (most recent call last):'" in unknown.reason
-        assert "exit code 1" in unknown.reason
+    res = verify_program(programs["cut_choose"], VerifyConfig(solver=command),
+                         source=source)
+    assert res.verdict == "unknown"
+    (unknown,) = res.unknowns
+    assert " ".join(command) in unknown.reason
+    assert "'Traceback (most recent call last):'" in unknown.reason
+    assert "exit code 1" in unknown.reason
 
 
 def test_silently_exiting_solver_gives_unknown_with_reason(programs):
     command = [sys.executable, "-c", "pass"]
     source = load_source(GOOD_PROTOCOLS["cut_choose"])
-    for jobs in (1, 2):
-        res = verify_program(programs["cut_choose"],
-                             VerifyConfig(solver=command, jobs=jobs),
-                             source=source)
-        assert res.verdict == "unknown"
-        (unknown,) = res.unknowns
-        assert " ".join(command) in unknown.reason
-        assert "first output line '(none)'" in unknown.reason
-        assert "exit code 0" in unknown.reason
+    res = verify_program(programs["cut_choose"], VerifyConfig(solver=command),
+                         source=source)
+    assert res.verdict == "unknown"
+    (unknown,) = res.unknowns
+    assert " ".join(command) in unknown.reason
+    assert "first output line '(none)'" in unknown.reason
+    assert "exit code 0" in unknown.reason
 
 
 def test_verify_leaves_no_unclosed_files():
     # -X dev reports every file object left to the garbage collector
-    script = ("import pathlib; from slicev import VerifyConfig, parse, "
+    script = ("import pathlib; from slicev import parse, "
               "verify_program; program = parse(pathlib.Path("
               f"{str(GOOD_PROTOCOLS['cut_choose'])!r}).read_text()); "
-              "print([verify_program(program, VerifyConfig(jobs=jobs)).verdict"
-              " for jobs in (1, 2)])")
+              "print(verify_program(program).verdict)")
     src = str(REPO / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     run = subprocess.run([sys.executable, "-X", "dev", "-c", script],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "['valid', 'valid']"
+    assert run.stdout.strip() == "valid"
     assert "ResourceWarning" not in run.stderr, run.stderr
 
 
@@ -382,33 +374,16 @@ def outcome(res) -> tuple:
             res.stats.orders_pruned)
 
 
-def test_parallel_matches_sequential():
-    # (protocol, exhaustive, pass the source): every bad protocol, one
-    # exhaustive run, and one run without the source text
-    cases = [(name, False, True) for name in sorted(BAD_PROTOCOLS)]
-    cases += [("cut_choose_swapped_branch", True, True),
-              ("scs_not_forced", False, False)]
-    for name, exhaustive, with_source in cases:
-        source = load_source(BAD_PROTOCOLS[name])
-        seq, par = (verify_program(
-            parse(source),
-            VerifyConfig(solver=BUNDLED, jobs=jobs, exhaustive=exhaustive),
-            source=source if with_source else None) for jobs in (1, 2))
-        assert seq.verdict == "invalid", name
-        assert outcome(par) == outcome(seq), name
-
-
 def test_in_process_matches_subprocess():
     files = {**BAD_PROTOCOLS, **GOOD_PROTOCOLS}
     names = [*sorted(BAD_PROTOCOLS), "cut_choose", "surplus",
              "waste_makes_haste3", "selfridge_conway_surplus"]
     for name in names:
         program = load(files[name])
-        for jobs in (1, 2):
-            in_process, child = (outcome(verify_program(
-                program, VerifyConfig(solver=command, jobs=jobs)))
-                for command in (BUNDLED, SUBPROCESS))
-            assert in_process == child, (name, jobs)
+        in_process, child = (outcome(verify_program(
+            program, VerifyConfig(solver=command)))
+            for command in (BUNDLED, SUBPROCESS))
+        assert in_process == child, name
 
 
 def test_verify_translates_paths_by_one_walk(programs, bad_programs,
@@ -440,45 +415,13 @@ def test_early_stop_leaves_no_solver_running(tmp_path):
               ".close(); os.execv(sys.executable, BUNDLED)")
     command = [sys.executable, "-c", f"BUNDLED = {BUNDLED!r}; {record}"]
     program = load(BAD_PROTOCOLS["scf_taker_cuts"])
-    res = verify_program(program, VerifyConfig(solver=command, jobs=2))
+    res = verify_program(program, VerifyConfig(solver=command))
     assert res.verdict == "invalid" and res.stats.paths < 1800
     pids = [int(p.name) for p in tmp_path.iterdir()]
     assert pids
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
-
-
-def test_a_killed_worker_gives_unknown_with_reason(programs):
-    # a worker killed mid-run (by the out-of-memory killer, say) never
-    # answers for its path; the run ends `unknown` instead of waiting
-    import multiprocessing
-    import signal
-    import threading
-    import time
-    before = set(multiprocessing.active_children())
-    results = []
-    run = threading.Thread(daemon=True, target=lambda: results.append(
-        verify_program(programs["selfridge_conway_full"],
-                       VerifyConfig(solver=BUNDLED, jobs=2))))
-    run.start()
-    deadline = time.monotonic() + 10.0
-    workers = set()
-    while not workers and time.monotonic() < deadline:
-        time.sleep(0.05)
-        workers = set(multiprocessing.active_children()) - before
-    assert workers, "the pool started no worker"
-    time.sleep(0.3)
-    killed = time.monotonic()
-    os.kill(min(workers, key=lambda p: p.pid).pid, signal.SIGKILL)
-    run.join(timeout=10.0)
-    assert not run.is_alive(), "the run still waits for the dead worker"
-    assert time.monotonic() - killed < 10.0
-    (res,) = results
-    assert res.verdict == "unknown" and not res.counterexamples
-    (unknown,) = res.unknowns
-    assert "a worker process died" in unknown.reason
-    assert unknown.path_index is not None
 
 
 def test_a_run_leaves_no_reference_cycles(programs):
