@@ -123,8 +123,7 @@ def cmd_compile(args) -> int:
         replacements, _pruned = path_replacements(tr, not args.all_orders)
         for s in replacements:
             vc = build_vc(tr, s, program.agents, table)
-            write_query(args.out, index, s,
-                        emit_smt(vc, program.agents, standalone=False))
+            write_query(args.out, index, s, emit_smt(vc, program.agents))
             queries += 1
     msg = {"file": args.file, "queries": queries, "out": args.out}
     print(json.dumps(msg) if args.json else

@@ -44,46 +44,16 @@ class SliceType:
     pass
 
 
-@dataclass(frozen=True)
-class TBool(SliceType):
+@dataclass(frozen=True, repr=False)
+class TBase(SliceType):
+    """A base type: one of the seven constants below, shown as its name."""
+
+    name: str
+
     def __str__(self):
-        return "Bool"
+        return self.name
 
-
-@dataclass(frozen=True)
-class TPoint(SliceType):
-    def __str__(self):
-        return "Point"
-
-
-@dataclass(frozen=True)
-class TVltn(SliceType):
-    def __str__(self):
-        return "Vltn"
-
-
-@dataclass(frozen=True)
-class TRdIntvl(SliceType):
-    def __str__(self):
-        return "RdIntvl"
-
-
-@dataclass(frozen=True)
-class TRdPiece(SliceType):
-    def __str__(self):
-        return "RdPiece"
-
-
-@dataclass(frozen=True)
-class TIntvl(SliceType):
-    def __str__(self):
-        return "Intvl"
-
-
-@dataclass(frozen=True)
-class TPiece(SliceType):
-    def __str__(self):
-        return "Piece"
+    __repr__ = __str__
 
 
 @dataclass(frozen=True)
@@ -98,19 +68,17 @@ class TProduct(SliceType):
         return "(" + " * ".join(parts) + ")"
 
 
-BOOL = TBool()
-POINT = TPoint()
-VLTN = TVltn()
-RD_INTVL = TRdIntvl()
-RD_PIECE = TRdPiece()
-INTVL = TIntvl()
-PIECE = TPiece()
-
-NONAFFINE_TYPES = (TBool, TPoint, TVltn, TRdIntvl, TRdPiece)
+BOOL = TBase("Bool")
+POINT = TBase("Point")
+VLTN = TBase("Vltn")
+RD_INTVL = TBase("RdIntvl")
+RD_PIECE = TBase("RdPiece")
+INTVL = TBase("Intvl")
+PIECE = TBase("Piece")
 
 
 def is_affine_type(t: SliceType) -> bool:
-    return isinstance(t, (TIntvl, TPiece, TProduct))
+    return t in (INTVL, PIECE) or isinstance(t, TProduct)
 
 
 def product_type(comps: Sequence[SliceType]) -> Optional[TProduct]:
@@ -124,14 +92,10 @@ def product_type(comps: Sequence[SliceType]) -> Optional[TProduct]:
 
 def read_type(t: SliceType) -> SliceType:
     """Read-only shadow of a type: Intvl -> RdIntvl, componentwise on products."""
-    if isinstance(t, TIntvl):
-        return RD_INTVL
-    if isinstance(t, TPiece):
-        return RD_PIECE
     if isinstance(t, TProduct):
         comps = [read_type(c) for c in t.nonaffine + t.affine]
         return TProduct(tuple(comps), ())
-    return t
+    return {INTVL: RD_INTVL, PIECE: RD_PIECE}.get(t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +134,9 @@ class IntervalVal(Value):
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+CAKE = IntervalVal(Fraction(0), Fraction(1))  # the value of `cake`
 
 
 @dataclass(frozen=True)
@@ -269,11 +236,6 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class AffVar(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
 class ReadVar(Expr):
     name: str
 
@@ -326,11 +288,6 @@ class Op(Expr):
 
 
 @dataclass(frozen=True)
-class Cake(Expr):
-    pass
-
-
-@dataclass(frozen=True)
 class Divide(Expr):
     interval: Expr
     point: Expr
@@ -356,7 +313,7 @@ class EvalQ(Expr):
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Lit) or isinstance(e, (Var, AffVar, ReadVar, Cake)):
+    if isinstance(e, (Lit, Var, ReadVar)):
         return ()
     if isinstance(e, TupleE):
         return e.items
@@ -382,7 +339,7 @@ def children(e: Expr) -> tuple[Expr, ...]:
 def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
     """`e` with its `children` replaced by `kids`; every other field, mark
     and if ids included, is kept.  Leaves come back unchanged."""
-    if isinstance(e, (Lit, Var, AffVar, ReadVar, Cake)):
+    if isinstance(e, (Lit, Var, ReadVar)):
         return e
     if isinstance(e, TupleE):
         return TupleE(tuple(kids))
@@ -438,10 +395,8 @@ def interval_list(subject: Union[Value, Expr]) -> list[IntervalVal]:
     e = subject
     if isinstance(e, Lit):
         return _value_interval_list(e.value)
-    if isinstance(e, (Var, AffVar, ReadVar)):
+    if isinstance(e, (Var, ReadVar)):
         return []
-    if isinstance(e, Cake):
-        return [IntervalVal(Fraction(0), Fraction(1))]
     out: list[IntervalVal] = []
     for c in children(e):
         out.extend(interval_list(c))

@@ -1,4 +1,5 @@
-"""Big-step evaluator for Slice with runtime envy and disjointness checks.
+"""Big-step evaluator for Slice, and the exact envy check of its result.
+No disjointness check runs here: `typecheck.check_wellformed` does it once.
 
 `Walk` is the one walk over expressions.  The evaluator (`_Evaluator`) is
 its value domain, which follows the one path the values take, and the path
@@ -19,9 +20,9 @@ from typing import Optional
 
 from .core import (
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
-    AssertE, AffVar, BoolVal, Cake, Divide, EvalQ, Expr, If, IntervalVal, Lit,
-    Mark, Op, PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError,
-    Split, TupleE, TupleVal, Value, Var, VltnVal, read,
+    AssertE, BoolVal, Divide, EvalQ, Expr, If, IntervalVal, Lit, Mark, Op,
+    PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError, Split,
+    TupleE, TupleVal, Value, Var, VltnVal, read,
 )
 from .valuation import TargetExceedsValue, ValuationSet, val_eval, val_mark
 
@@ -106,7 +107,7 @@ class Walk:
         return x
 
     def eval(self, e: Expr, env: dict):
-        if isinstance(e, (Var, AffVar, ReadVar)):
+        if isinstance(e, (Var, ReadVar)):
             if e.name not in env:
                 at = "@" if isinstance(e, ReadVar) else ""
                 raise SliceError(f"unbound variable {at}{e.name}")
@@ -144,8 +145,6 @@ class Walk:
         elif isinstance(e, (TupleE, PieceE)):
             for items in self._each(e.items, env):
                 yield self.tuple(e, items)
-        elif isinstance(e, Cake):
-            yield self.lit(IntervalVal(Fraction(0), Fraction(1)))
         else:
             raise SliceError(f"unhandled expression {e!r}")
 

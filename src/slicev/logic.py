@@ -405,12 +405,6 @@ def simplify(f: Node) -> Node:
     return conj(new) if isinstance(f, AndF) else rebuild(f, new)
 
 
-def point_atoms(f: Node) -> set:
-    """Point-sorted atoms (constants and mark variables) of a simplified
-    formula or term; z-variables are real-sorted and excluded."""
-    return {t for t in subterms(f) if isinstance(t, (YVar, Const))}
-
-
 # ---------------------------------------------------------------------------
 # Piecewise uniform replacements
 # ---------------------------------------------------------------------------

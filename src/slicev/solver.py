@@ -154,23 +154,23 @@ def _text(f: Formula, texts: Optional[dict]) -> str:
     return "(and " + " ".join(out) + ")" if isinstance(f, AndF) else out[0]
 
 
-def emit_smt(vc: VC, n_agents: int, standalone: bool = True) -> str:
-    """Negation query for one verification condition; unsat means valid.
-    A node outside linear real arithmetic raises `SolverError`."""
+def emit_smt(vc: VC, n_agents: int) -> str:
+    """Negation query for one verification condition, without the logic
+    header (`write_query` adds it); unsat means valid.  A node outside
+    linear real arithmetic raises `SolverError`."""
     texts = vc.table.texts if vc.table is not None else None
     ys, zs = replacement_variables(vc.replacement, n_agents)
     lines = [f"(declare-const {smt_name(v)} Real)" for v in [*ys, *zs]]
     lines.append(f"(assert {_text(vc.antecedent, texts)})")
     lines.append(f"(assert {_text(vc.negated_goal, texts)})")
     lines.append("(check-sat)")
-    return (_HEADER if standalone else "") + "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def write_query(directory: str, index: int, s: Replacement,
                 body: str) -> None:
     """Write one query file into `directory`: a comment naming its path and
-    order, the logic header, then `body`, the query `emit_smt` gives with
-    `standalone=False`."""
+    order, the logic header, then `body`, the query `emit_smt` gives."""
     perm = "_".join(str(e) for e in s.order[1:-1]) or "none"
     name = f"path{index:05d}_order_{perm}.smt2"
     os.makedirs(directory, exist_ok=True)
@@ -610,7 +610,7 @@ def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
     t1 = time.monotonic()
     try:
         for s, vc in built:
-            query = emit_smt(vc, n_agents, standalone=False)
+            query = emit_smt(vc, n_agents)
             if config.dump_dir:
                 write_query(config.dump_dir, index, s, query)
             stats.queries += 1

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .core import (
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
-    AssertE, AffVar, BoolVal, Cake, Divide, EvalQ, Expr, If, IntervalVal, Lit,
-    Mark, Op, PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError,
-    Split, TupleE, Var, children, rebuild,
+    CAKE, AssertE, BoolVal, Divide, EvalQ, Expr, If, IntervalVal, Lit, Mark,
+    Op, PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError, Split,
+    TupleE, Var, children, rebuild,
 )
 
 
@@ -233,7 +233,7 @@ class _Parser:
     def atom(self, n: int) -> Expr:
         tok = self.peek()
         if self.eat("cake"):
-            return Cake()
+            return Lit(CAKE)
         if self.eat("true"):
             return Lit(BoolVal(True))
         if self.eat("false"):
@@ -278,7 +278,7 @@ class _Parser:
         if self.eat("@"):
             if self.eat("cake"):
                 # read-only view of the whole cake
-                return Lit(ReadOnlyVal(IntervalVal(Fraction(0), Fraction(1))))
+                return Lit(ReadOnlyVal(CAKE))
             return ReadVar(self.ident())
         if tok.kind == "name":
             return Var(self.ident())
@@ -366,7 +366,7 @@ def _fmt_value(v) -> str:
         return f"[{_fmt_rat(v.lo)}, {_fmt_rat(v.hi)}]"
     if isinstance(v, PieceVal):
         return "pc(" + ", ".join(_fmt_value(i) for i in v.intervals) + ")"
-    if isinstance(v, ReadOnlyVal) and v.inner == IntervalVal(Fraction(0), Fraction(1)):
+    if v == ReadOnlyVal(CAKE):
         return "@cake"
     raise SliceError(f"value {v!r} has no source form")
 
@@ -398,13 +398,11 @@ def _pretty(e: Expr, indent: int) -> str:
 
 def _inline(e: Expr, prec: int = 0) -> str:
     if isinstance(e, Lit):
-        return _fmt_value(e.value)
-    if isinstance(e, (Var, AffVar)):
+        return "cake" if e.value == CAKE else _fmt_value(e.value)
+    if isinstance(e, Var):
         return e.name
     if isinstance(e, ReadVar):
         return f"@{e.name}"
-    if isinstance(e, Cake):
-        return "cake"
     if isinstance(e, Divide):
         return f"divide({_inline(e.interval)}, {_inline(e.point)})"
     if isinstance(e, PieceE):

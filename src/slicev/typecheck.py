@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from .core import (
     BOOL, INTVL, PIECE, POINT, RD_INTVL, RD_PIECE, VLTN,
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
-    AssertE, AffVar, Cake, Divide, EvalQ, Expr, If, Lit, Mark, Op, PieceE,
-    PointVal, ReadVar, SliceError, SliceType, Split, TProduct, TRdIntvl,
-    TRdPiece, TupleE, Var, is_affine_type, product_type, read_type,
-    value_type, walk,
+    AssertE, Divide, EvalQ, Expr, If, Lit, Mark, Op, PieceE, PointVal,
+    ReadVar, SliceError, SliceType, Split, TProduct, TupleE, Var,
+    is_affine_type, is_disjoint, product_type, read_type, value_type, walk,
 )
 from .syntax import Program
 
@@ -96,12 +94,10 @@ class _Checker:
     def check(self, e: Expr, scope: _Scope) -> tuple[SliceType, Uses]:
         if isinstance(e, Lit):
             return value_type(e.value), {}
-        if isinstance(e, (Var, AffVar)):
+        if isinstance(e, Var):
             if e.name in scope.affine:
                 bid, t = scope.affine[e.name]
                 return t, {bid: (e.name, e.name)}
-            if isinstance(e, AffVar):
-                raise UnboundVariable(f"unbound affine variable {e.name!r}")
             if e.name in scope.plain:
                 return scope.plain[e.name], {}
             raise UnboundVariable(f"unbound variable {e.name!r}")
@@ -109,8 +105,6 @@ class _Checker:
             if e.name not in scope.twins:
                 raise UnboundVariable(f"no read-only binding @{e.name}")
             return scope.twins[e.name], {}
-        if isinstance(e, Cake):
-            return INTVL, {}
         if isinstance(e, TupleE):
             comps, uses = [], []
             for item in e.items:
@@ -146,7 +140,7 @@ class _Checker:
             return self.check_op(e, scope)
         if isinstance(e, Divide):
             t1, u1 = self.check(e.interval, scope)
-            if isinstance(t1, TRdIntvl):
+            if t1 == RD_INTVL:
                 raise ReadOnlyMisuse("divide applied to a read-only interval")
             if t1 != INTVL:
                 raise SliceTypeError(f"divide expects Intvl, found {t1}")
@@ -158,7 +152,7 @@ class _Checker:
             uses = []
             for item in e.items:
                 t, u = self.check(item, scope)
-                if isinstance(t, (TRdIntvl, TRdPiece)):
+                if t in (RD_INTVL, RD_PIECE):
                     raise ReadOnlyMisuse("piece applied to a read-only value")
                 if t != INTVL:
                     raise SliceTypeError(f"piece expects Intvl, found {t}")
@@ -264,29 +258,24 @@ class Violation:
         return {"code": self.code, "message": self.message}
 
 
-def check_wellformed(program: Union[Program, Expr],
-                     n_agents: Optional[int] = None) -> list[Violation]:
+def check_wellformed(program: Program) -> list[Violation]:
     """Well-formedness for verification entry points.
 
     Closed and well-typed at Piece^agents, expression-disjoint, no point
     literals besides 0 and 1, unique mark identifiers.  Violations are
     returned as data, not raised.
     """
-    if isinstance(program, Program):
-        e, n = program.body, program.agents
-    else:
-        e, n = program, n_agents
+    e, n = program.body, program.agents
     out: list[Violation] = []
     ty = None
     try:
         ty = typecheck(e)
     except SliceTypeError as exc:
         out.append(Violation("ill-typed", str(exc)))
-    if ty is not None and n is not None and ty != allocation_type(n):
+    if ty is not None and ty != allocation_type(n):
         out.append(Violation(
             "wrong-type",
             f"protocol has type {ty}, expected Piece^{n}"))
-    from .core import is_disjoint
     if not is_disjoint(e):
         out.append(Violation("not-disjoint", "expression is not disjoint"))
     zero_one = (Fraction(0), Fraction(1))

@@ -54,14 +54,9 @@ def smt_formula(f: Formula) -> str:
     raise SolverError(f"cannot emit {f!r}")
 
 
-def emit_smt(vc: VC, n_agents: int, standalone: bool = True) -> str:
+def emit_smt(vc: VC, n_agents: int) -> str:
     ys, zs = replacement_variables(vc.replacement, n_agents)
-    lines = []
-    if standalone:
-        lines.append("(set-logic QF_LRA)")
-        lines.append("(set-option :produce-models true)")
-    for v in [*ys, *zs]:
-        lines.append(f"(declare-const {smt_name(v)} Real)")
+    lines = [f"(declare-const {smt_name(v)} Real)" for v in [*ys, *zs]]
     lines.append(f"(assert {smt_formula(vc.antecedent)})")
     lines.append(f"(assert {smt_formula(vc.negated_goal)})")
     lines.append("(check-sat)")

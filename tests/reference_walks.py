@@ -16,18 +16,18 @@ from typing import Optional
 
 from slicev.core import (
     OP_ADD, OP_AND, OP_EQ, OP_GE, OP_NOT, OP_OR, OP_SCALE,
-    AssertE, AffVar, BoolVal, Cake, Divide, EvalQ, Expr, If, IntervalVal, Lit,
-    Mark, Op, PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError,
-    Split, TupleE, TupleVal, Value, Var, VltnVal, read,
+    AssertE, BoolVal, Divide, EvalQ, Expr, If, IntervalVal, Lit, Mark, Op,
+    PieceE, PieceVal, PointVal, ReadOnlyVal, ReadVar, SliceError, Split,
+    TupleE, TupleVal, Value, Var, VltnVal, read,
 )
 from slicev.interp import (
     ASSERT_FAILED, DIVIDE_OUT_OF_RANGE, MARK_INFEASIBLE, MARK_REPLAY_MISMATCH,
     EvalTrace, RunResult, Stuck, vltn_value,
 )
 from slicev.logic import (
-    AddT, Const, EqF, FalseF, Formula, GeF, IntervalT, LogicError, NotF, OrF,
-    ScaleT, Term, Translated, TrueF, TupleT, UnionT, ValT, YVar, conj, left,
-    proj, right, term_of_value,
+    AddT, EqF, FalseF, Formula, GeF, IntervalT, LogicError, NotF, OrF, ScaleT,
+    Term, Translated, TrueF, TupleT, UnionT, ValT, YVar, conj, left, proj,
+    right, term_of_value,
 )
 from slicev.valuation import TargetExceedsValue, ValuationSet, val_mark
 
@@ -98,7 +98,7 @@ class _Evaluator:
     def _eval(self, e: Expr, env: dict) -> Value:
         if isinstance(e, Lit):
             return e.value
-        if isinstance(e, (Var, AffVar)):
+        if isinstance(e, Var):
             if e.name not in env:
                 raise SliceError(f"unbound variable {e.name!r} at runtime")
             return env[e.name]
@@ -107,8 +107,6 @@ class _Evaluator:
             if key not in env:
                 raise SliceError(f"unbound read-only variable @{e.name}")
             return env[key]
-        if isinstance(e, Cake):
-            return IntervalVal(Fraction(0), Fraction(1))
         if isinstance(e, TupleE):
             return TupleVal(tuple(self.eval(item, env) for item in e.items))
         if isinstance(e, Split):
@@ -230,7 +228,7 @@ def translate(path_expr: Expr) -> Translated:
     def go(e: Expr, env: dict) -> tuple[Term, list[Formula]]:
         if isinstance(e, Lit):
             return term_of_value(e.value), []
-        if isinstance(e, (Var, AffVar)):
+        if isinstance(e, Var):
             if e.name not in env:
                 raise LogicError(f"unbound variable {e.name!r} in path")
             return env[e.name], []
@@ -238,8 +236,6 @@ def translate(path_expr: Expr) -> Translated:
             if e.name not in env:
                 raise LogicError(f"unbound read variable @{e.name} in path")
             return env[e.name], []
-        if isinstance(e, Cake):
-            return IntervalT(Const(Fraction(0)), Const(Fraction(1))), []
         if isinstance(e, TupleE):
             terms, cs = [], []
             for item in e.items:

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 from slicev.core import (
     BOOL, INTVL, PIECE, POINT, RD_INTVL, RD_PIECE, VLTN,
-    AffVar, BoolVal, Expr, IntervalVal, PieceVal, PointVal, ReadOnlyVal,
-    SliceError, TProduct, TupleVal, VltnVal, children, interval_list,
-    is_disjoint, read, rebuild, unread, value_type, walk,
+    BoolVal, Expr, IntervalVal, PieceVal, PointVal, ReadOnlyVal, SliceError,
+    SliceType, TBase, TProduct, TupleVal, VltnVal, children, interval_list,
+    is_affine_type, is_disjoint, read, read_type, rebuild, unread, value_type,
+    walk,
 )
 from slicev.paths import enumerate_paths
 from slicev.syntax import parse
@@ -110,8 +111,7 @@ def test_interval_list_ignores_read_only():
 
 
 def test_interval_list_of_cake_expression():
-    from slicev.core import Cake
-    assert interval_list(Cake()) == [interval(0, 1)]
+    assert interval_list(parse("agents 1;\ncake").body) == [interval(0, 1)]
 
 
 @given(st.lists(_values(), min_size=1, max_size=4))
@@ -190,6 +190,20 @@ def test_every_value_has_exactly_one_type(v):
         assert t1 in (RD_INTVL, RD_PIECE)
 
 
+def test_base_types_are_values_of_one_class():
+    bases = [BOOL, POINT, VLTN, RD_INTVL, RD_PIECE, INTVL, PIECE]
+    assert set(SliceType.__subclasses__()) == {TBase, TProduct}
+    assert all(type(t) is TBase for t in bases)
+    assert [str(t) for t in bases] == [repr(t) for t in bases] == [
+        "Bool", "Point", "Vltn", "RdIntvl", "RdPiece", "Intvl", "Piece"]
+    assert [t for t in bases if is_affine_type(t)] == [INTVL, PIECE]
+    assert [read_type(t) for t in bases] == [
+        BOOL, POINT, VLTN, RD_INTVL, RD_PIECE, RD_INTVL, RD_PIECE]
+    pair = TProduct((POINT,), (INTVL, PIECE))
+    assert is_affine_type(pair)
+    assert read_type(pair) == TProduct((POINT, RD_INTVL, RD_PIECE), ())
+
+
 def test_malformed_interval_rejected():
     with pytest.raises(SliceError):
         IntervalVal(F(1), F(0))
@@ -200,7 +214,7 @@ def test_malformed_interval_rejected():
 def test_children_and_rebuild_follow_the_dataclass_fields():
     files = [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values(), ILL_TYPED_SURPLUS]
     assert len(files) == 13
-    roots = [AffVar("x")]
+    roots = []
     for path in files:
         body = load(path).body
         roots += [body, next(enumerate_paths(body)).expr]
@@ -219,3 +233,4 @@ def test_children_and_rebuild_follow_the_dataclass_fields():
         assert getattr(again, "mark_id", None) == getattr(e, "mark_id", None)
         assert getattr(again, "if_id", None) == getattr(e, "if_id", None)
     assert kinds == set(Expr.__subclasses__())
+    assert len(kinds) == 12

@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from slicev import logic
-from slicev.core import OP_GE, AssertE, Cake, Divide, Mark, Op, Split
+from slicev.core import OP_GE, AssertE, Divide, Mark, Op, Split
 from slicev.logic import (
     AddT, AndF, Const, EqF, FalseF, Formula, GeF, IntervalT,
     LogicError, NotF, OrF, PointAtomNotInS, ScaleT, Term, TrueF,
     TupleT, UnionT, ValT, YVar, ZVar,
     ZERO_KEY, ONE_KEY, apply_replacement, build_vc, compatible_replacements,
     conjuncts, envy_formula, eval_formula, left,
-    order_formula, ordering_facts, parts, point_atoms, proj, rebuild,
+    VCTable, order_formula, ordering_facts, parts, proj, rebuild,
     replacement_from_permutation, right, simplify, subterms,
     term_to_value, translate,
 )
@@ -126,7 +126,7 @@ def test_assert_guard_precedes_its_own_side_conditions():
 def test_mark_ids_come_out_in_pre_order():
     read_cake = parse_expr("@cake")
     inner = Mark(2, read_cake, parse_expr("eval[2](@cake)"), mark_id=4)
-    target = Split(("a", "b"), Divide(Cake(), inner),
+    target = Split(("a", "b"), Divide(parse_expr("cake"), inner),
                    parse_expr("eval[1](@a)"))
     outer = Mark(1, read_cake, target, mark_id=7)
     last = Mark(1, read_cake, parse_expr("eval[1](@cake)"), mark_id=1)
@@ -154,7 +154,7 @@ def test_translate_rejects_a_guard_that_is_not_boolean():
     # its guard translates to a term, which cannot go into the constraint
     for guard in ("eval[1](@cake)", "cake"):
         with pytest.raises(LogicError, match="not a boolean guard"):
-            translate(AssertE(parse_expr(guard), Cake()))
+            translate(AssertE(parse_expr(guard), parse_expr("cake")))
 
 
 # -- envy formula -----------------------------------------------------------------
@@ -268,14 +268,14 @@ def test_parts_and_rebuild_follow_the_dataclass_fields():
     # oracle `_node_fields` reads it off the dataclass fields instead
     n_paths = 0
     for path_file in [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values()]:
-        program = load(path_file)
+        program, table = load(path_file), VCTable()   # one run per protocol
         for path in enumerate_paths(program.body):
             n_paths += 1
             tr = translate(path.expr)
             _check_shapes(tr.result)
             _check_shapes(tr.constraint)
             for s in path_replacements(tr, prune=True)[0]:
-                vc = build_vc(tr, s, program.agents)
+                vc = build_vc(tr, s, program.agents, table)
                 _check_shapes(vc.antecedent)
                 _check_shapes(vc.negated_goal)
     assert n_paths == 4360
@@ -402,12 +402,6 @@ def test_point_atom_outside_order_rejected():
     s = replacement_from_permutation([])
     with pytest.raises(PointAtomNotInS):
         apply_replacement(s, ValT(1, interval(c(0), c("1/3"))))
-
-
-def test_point_atoms_of_formula(programs):
-    tr = translate(first_path(programs, "cut_choose").expr)
-    atoms = point_atoms(simplify(tr.constraint))
-    assert atoms == {c(0), c(1), y(0)}
 
 
 # -- the side formula -------------------------------------------------------------

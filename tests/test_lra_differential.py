@@ -91,8 +91,8 @@ def queries(name, prune):
     for p in enumerate_paths(program.body):
         tr = translate(p.expr)
         replacements, _pruned = path_replacements(tr, prune)
-        yield [emit_smt(build_vc(tr, s, program.agents), program.agents,
-                        standalone=False) for s in replacements]
+        yield [emit_smt(build_vc(tr, s, program.agents), program.agents)
+               for s in replacements]
 
 
 def lowered(text):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slicev.core import (
-    Cake, Divide, EvalQ, If, Lit, Mark, Op, PieceE, PointVal, Split, walk,
+    CAKE, Divide, EvalQ, If, IntervalVal, Lit, Mark, Op, PieceE, PointVal,
+    Split, walk,
 )
 from slicev.syntax import (
     SliceSyntaxError, assign_mark_ids, mark_ids, parse, parse_expr, pretty,
@@ -21,7 +22,15 @@ ALL_FILES = [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values(),
 
 
 def test_smallest_program():
-    assert parse("agents 1;\ncake").body == Cake()
+    assert parse("agents 1;\ncake").body == Lit(CAKE)
+
+
+def test_cake_is_the_literal_zero_one():
+    cake, zero_one = parse("agents 1;\ncake"), parse("agents 1;\n[0, 1]")
+    assert cake.body == zero_one.body == Lit(IntervalVal(Fraction(0),
+                                                          Fraction(1)))
+    assert pretty_program(cake) == "agents 1;\ncake\n"
+    assert pretty_program(zero_one) == "agents 1;\ncake\n"
 
 
 @pytest.mark.parametrize("path", ALL_FILES, ids=lambda p: Path(p).stem)
@@ -34,7 +43,7 @@ def test_cut_choose_shape(programs):
     body = programs["cut_choose"].body
     nodes = list(walk(body))
     splits_of_cake = [n for n in nodes
-                      if isinstance(n, Split) and isinstance(n.scrutinee, Cake)]
+                      if isinstance(n, Split) and n.scrutinee == Lit(CAKE)]
     assert len(splits_of_cake) == 1
     assert sum(isinstance(n, Divide) for n in nodes) == 1
     assert sum(isinstance(n, Mark) for n in nodes) == 1
@@ -110,7 +119,7 @@ _rats = st.fractions(min_value=0, max_value=1, max_denominator=8)
 def _exprs(draw, depth=3):
     if depth == 0:
         return draw(st.one_of(
-            st.just(Cake()),
+            st.just(Lit(CAKE)),
             _rats.map(lambda r: Lit(PointVal(r))),
             _names.map(lambda n: parse_expr(n)),
             _names.map(lambda n: parse_expr("@" + n)),

@@ -99,6 +99,11 @@ def test_operator_signature_mismatch():
         typecheck(parse_expr("true and 1"))
     with pytest.raises(OperatorSignatureMismatch):
         typecheck(parse_expr("1 + 1"))
+    # the operand types print as their names
+    with pytest.raises(OperatorSignatureMismatch) as err:
+        typecheck(parse_expr("cake >= cake"))
+    assert str(err.value) == (
+        ">= compares two points or two valuations; found [Intvl, Intvl]")
 
 
 def test_scale_applies_to_valuations_only():

@@ -84,9 +84,8 @@ def test_tables_match_the_table_free_pipeline(protocols, prune):
             vc = build_vc(tr, s, n, table)
             old = reference_vc.build_vc(tr, s, n)
             assert vc == old, (name, s.order)
-            text = emit_smt(vc, n, standalone=False)
-            assert text == reference_vc.emit_smt(old, n, standalone=False)
-            assert emit_smt(vc, n) == reference_vc.emit_smt(old, n)
+            text = emit_smt(vc, n)
+            assert text == reference_vc.emit_smt(old, n)
             names, by_state, by_reference = lowered_text(text)
             # repr: equal atoms, with their coefficients in the same order
             assert repr(by_state) == repr(by_reference), (name, s.order)

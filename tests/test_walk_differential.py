@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import reference_walks
-from slicev.core import AssertE, BoolVal, Cake, Lit, SliceError
+from slicev.core import CAKE, AssertE, BoolVal, Lit, SliceError
 from slicev.interp import (
     ASSERT_FAILED, DIVIDE_OUT_OF_RANGE, MARK_INFEASIBLE, MARK_REPLAY_MISMATCH,
     check_envy_free, evaluate,
@@ -242,7 +242,7 @@ UNIFORM = ValuationSet([Valuation.uniform()])
     (parse_expr("mark[1](@cake, 2 * eval[1](@cake))"), None, MARK_INFEASIBLE),
     (parse_expr("mark[1](@cake, 1/2 * eval[1](@cake))"), {0: Fraction(1, 4)},
      MARK_REPLAY_MISMATCH),
-    (AssertE(Lit(BoolVal(False)), Cake()), None, ASSERT_FAILED),
+    (AssertE(Lit(BoolVal(False)), Lit(CAKE)), None, ASSERT_FAILED),
 ], ids=["divide", "mark", "replay", "assert"])
 def test_evaluate_matches_on_stuck_runs(e, replay, reason):
     assert same_outcome(e, UNIFORM, replay)["reason"] == reason
