@@ -23,12 +23,12 @@ from .logic import VCTable, translate_paths
 from .paths import count_paths, enumerate_paths
 from .solver import (
     Counterexample, SolverError, VerifyConfig, build_vc, emit_smt,
-    path_replacements, replay_counterexample, verify_program, write_query,
+    path_replacements, verify_program, write_query,
 )
 from .syntax import Program, SliceSyntaxError, parse, pretty
 from .typecheck import check_wellformed, typecheck
 from .valuation import (
-    PUValuation, ValuationSet, _rs, val_eval, valuation_set_from_json,
+    PUValuation, ValuationSet, val_eval, valuation_set_from_json,
     valuation_set_to_json,
 )
 
@@ -57,14 +57,6 @@ def load_json(path: str, from_json):
         except (ValueError, LookupError, TypeError, AttributeError,
                 ZeroDivisionError, SliceError) as exc:
             raise UsageError(f"malformed {path}: {exc!r}") from exc
-
-
-def witness_json(witness):
-    """An envy witness as JSON, exact values as `p/q` strings."""
-    return None if witness is None else {
-        "envious": witness.envious, "envied": witness.envied,
-        "own_value": _rs(witness.own_value),
-        "other_value": _rs(witness.other_value)}
 
 
 def random_pu_set(n_agents: int, rng: random.Random) -> ValuationSet:
@@ -146,7 +138,7 @@ def cmd_verify(args) -> int:
     config = VerifyConfig(
         solver=args.solver.split() if args.solver else None,
         timeout=args.timeout, exhaustive=args.exhaustive,
-        dump_dir=args.dump_smt, prune=not args.all_orders)
+        prune=not args.all_orders)
     t0 = time.monotonic()
     result = verify_program(program, config)
     elapsed = time.monotonic() - t0
@@ -181,9 +173,9 @@ def cmd_verify(args) -> int:
         if ce is not None:
             print(f"  counterexample on path {ce.path_index}: {ce.witness}")
             for a, v in enumerate(ce.valuations, start=1):
-                sup = " ".join(f"[{_rs(lo)},{_rs(hi)}]" for lo, hi in v.support)
+                sup = " ".join(f"[{lo},{hi}]" for lo, hi in v.support)
                 print(f"    agent {a} uniform on {sup}")
-            marks = ", ".join(f"y{k}={_rs(v)}"
+            marks = ", ".join(f"y{k}={v}"
                               for k, v in sorted(ce.mark_table.items()))
             print(f"    marks: {marks}")
         for u in result.unknowns:
@@ -220,40 +212,41 @@ def cmd_simulate(args) -> int:
         print(json.dumps({
             "file": args.file,
             "allocation": [str(piece) for piece in alloc.items],
-            "values": {str(a): [_rs(v) for v in row]
+            "values": {str(a): [str(v) for v in row]
                        for a, row in values.items()},
             "envy_free": ok,
-            "witness": witness_json(witness),
-            "marks": {str(k): _rs(v)
+            "witness": witness and witness.to_json(),
+            "marks": {str(k): str(v)
                       for k, v in sorted(run.trace.mark_answers.items())},
             "valuations": valuation_set_to_json(vs),
         }, indent=2))
     else:
         for a in range(1, program.agents + 1):
             own = values[a][a - 1]
-            print(f"agent {a} receives {alloc.items[a - 1]} worth {_rs(own)}")
+            print(f"agent {a} receives {alloc.items[a - 1]} worth {own}")
         print("envy-free" if ok else f"envy: {witness}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_replay(args) -> int:
     program = load_program(args.file)
-    stored = load_json(args.counterexample, Counterexample.from_json)
-    if stored.valuations.n_agents != program.agents:
+    ce = load_json(args.counterexample, Counterexample.from_json)
+    if ce.valuations.n_agents != program.agents:
         print("counterexample has the wrong number of agents",
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        alloc, witness = replay_counterexample(program, stored)
+        ce.replay(program)
     except SliceError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    alloc, witness = ce.allocation, ce.witness
     if args.json:
         print(json.dumps({
             "file": args.file,
             "allocation": [str(p) for p in alloc.items],
             "envy_confirmed": witness is not None,
-            "witness": witness_json(witness),
+            "witness": witness and witness.to_json(),
         }, indent=2))
     else:
         print(f"allocation: {alloc}")
@@ -313,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-query timeout in seconds")
     p.add_argument("--exhaustive", action="store_true",
                    help="keep going after the first counterexample")
-    p.add_argument("--dump-smt", default=None, metavar="DIR",
-                   help="also write every query as a file")
     p.add_argument("--all-orders", action="store_true",
                    help="check every replacement order (skip pruning)")
     p.add_argument("--save-counterexample", default=None, metavar="FILE",

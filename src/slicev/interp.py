@@ -283,6 +283,12 @@ class EnvyWitness:
         return (f"agent {self.envious} values agent {self.envied}'s piece at "
                 f"{self.other_value} but its own at {self.own_value}")
 
+    def to_json(self) -> dict:
+        """Exact values as `p/q` strings (`p` for an integer)."""
+        return {"envious": self.envious, "envied": self.envied,
+                "own_value": str(self.own_value),
+                "other_value": str(self.other_value)}
+
 
 def check_envy_free(alloc: Value, vs: ValuationSet
                     ) -> tuple[bool, Optional[EnvyWitness]]:

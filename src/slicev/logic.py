@@ -453,10 +453,6 @@ def _point_key(t: Term) -> Union[int, str, None]:
     return None
 
 
-def _z_for(agent: int, element: Union[int, str]) -> ZVar:
-    return ZVar(agent, ONE_KEY if element == ONE_KEY else element)
-
-
 def _window(s: Replacement, lo: Term, hi: Term) -> list:
     pos = s.positions
     i = pos.get(_point_key(lo))
@@ -498,7 +494,7 @@ def _window_sum(s: Replacement, agent: int, piece: Term) -> Term:
         return Const(Fraction(0))
     total: Optional[Term] = None
     for e in elems:
-        part = AddT(_element_term(e), ScaleT(Fraction(-1), _z_for(agent, e)))
+        part = AddT(_element_term(e), ScaleT(Fraction(-1), ZVar(agent, e)))
         total = part if total is None else AddT(total, part)
     return total
 
@@ -523,7 +519,7 @@ def order_formula(s: Replacement, n_agents: int) -> Formula:
     for a in range(1, n_agents + 1):
         prev: Term = zero
         for e in elems:
-            z = _z_for(a, e)
+            z = ZVar(a, e)
             y = _element_term(e)
             atoms.append(GeF(z, prev))
             atoms.append(GeF(y, z))
@@ -540,7 +536,7 @@ def order_formula(s: Replacement, n_agents: int) -> Formula:
 def replacement_variables(s: Replacement, n_agents: int
                           ) -> tuple[list[YVar], list[ZVar]]:
     ys = [YVar(e) for e in s.order if e not in (ZERO_KEY, ONE_KEY)]
-    zs = [_z_for(a, e) for a in range(1, n_agents + 1)
+    zs = [ZVar(a, e) for a in range(1, n_agents + 1)
           for e in s.order if e != ZERO_KEY]
     return ys, zs
 

@@ -3,9 +3,10 @@
 Every (path, replacement) pair becomes one negation query: the constraint
 and side formula are asserted together with the negated envy goal, so
 `unsat` means the condition is valid.  A `sat` answer yields a model that is
-turned into a concrete piecewise-uniform valuation set and replayed through
-the interpreter; a counterexample is only reported once the replay
-reproduces an exact envy violation.
+turned into a `Counterexample`, a concrete piecewise-uniform valuation set
+with pinned mark answers, and replayed through the whole program as `slicev
+replay` does; it is only reported once the replay takes the model's path
+and reproduces an exact envy violation.
 
 When the solver command is exactly the bundled one, `BUNDLED_SOLVER`, the
 search of `slicev.smtlib` decides each condition in this process
@@ -36,7 +37,6 @@ from .logic import (
     ONE_KEY, ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
     replacement_variables, subterms, translate_paths,
 )
-from .paths import select_path
 from .syntax import Program
 from .typecheck import check_wellformed
 from .valuation import (
@@ -436,85 +436,77 @@ def check_query(proc: Solver, query: str, vc: VC, n_agents: int
 
 
 # ---------------------------------------------------------------------------
-# Counterexample extraction
+# Counterexamples
 # ---------------------------------------------------------------------------
-
-def extract_valuation_set(model: dict[str, Fraction], s: Replacement,
-                          n_agents: int) -> ValuationSet:
-    """Piecewise-uniform valuation set read off a satisfying assignment:
-    per agent the support is the union of [z_agent_y, y] windows; the
-    constant is the reciprocal of the total support length."""
-    def val(term) -> Fraction:
-        name = smt_name(term)
-        if name not in model:
-            raise SolverError(f"model misses {name}")
-        return model[name]
-
-    out = []
-    for a in range(1, n_agents + 1):
-        support = []
-        for e in s.order:
-            if e == ZERO_KEY:
-                continue
-            y = Fraction(1) if e == ONE_KEY else val(YVar(e))
-            z = val(ZVar(a, ONE_KEY if e == ONE_KEY else e))
-            if z < y:   # zero-length windows are dropped
-                support.append((z, y))
-        if not support:
-            raise SolverError("degenerate model: empty support")
-        out.append(PUValuation(support))
-    return ValuationSet(out)
-
-
-def model_mark_table(model: dict[str, Fraction],
-                     mark_ids: tuple[int, ...]) -> dict[int, Fraction]:
-    table = {}
-    for mid in mark_ids:
-        name = f"y{mid}"
-        if name not in model:
-            raise SolverError(f"model misses mark variable {name}")
-        table[mid] = model[name]
-    return table
-
 
 @dataclass
 class Counterexample:
+    """Piecewise-uniform valuations and pinned mark answers under which the
+    program envies on path `path_index`.  `replay` sets `allocation` and
+    `witness` (None when the allocation is envy-free)."""
+
     valuations: ValuationSet
     mark_table: dict[int, Fraction]
     path_index: int
-    witness: EnvyWitness
-    allocation: Value
+    witness: Optional[EnvyWitness] = None
+    allocation: Optional[Value] = None
+
+    @staticmethod
+    def from_model(model: dict[str, Fraction], s: Replacement,
+                   mark_ids: tuple[int, ...], index: int, n_agents: int
+                   ) -> "Counterexample":
+        """The counterexample a satisfying assignment of path `index`'s
+        query under order `s` describes: per agent the support is the union
+        of [z_agent_y, y] windows, zero-length ones dropped (the constant is
+        the reciprocal of its length), and each mark answers its y."""
+        def val(term) -> Fraction:
+            name = smt_name(term)
+            if name not in model:
+                raise SolverError(f"model misses {name}")
+            return model[name]
+
+        out = []
+        for a in range(1, n_agents + 1):
+            support = []
+            for e in s.order:
+                if e == ZERO_KEY:
+                    continue
+                y = Fraction(1) if e == ONE_KEY else val(YVar(e))
+                z = val(ZVar(a, e))
+                if z < y:
+                    support.append((z, y))
+            if not support:
+                raise SolverError("degenerate model: empty support")
+            out.append(PUValuation(support))
+        return Counterexample(ValuationSet(out),
+                              {mid: val(YVar(mid)) for mid in mark_ids},
+                              index)
+
+    def replay(self, program: Program) -> list:
+        """Run the whole program on these valuations with the marks pinned,
+        as `slicev replay` does; returns the branches the run took."""
+        run = evaluate(program.body, self.valuations, replay=self.mark_table)
+        _ok, self.witness = check_envy_free(run.value, self.valuations)
+        self.allocation = run.value
+        return run.trace.branches
 
     def to_json(self) -> dict:
-        def rs(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
         return {
             "valuations": valuation_set_to_json(self.valuations),
-            "mark_table": {str(k): rs(v) for k, v in self.mark_table.items()},
+            "mark_table": {str(k): str(v) for k, v in self.mark_table.items()},
             "path_index": self.path_index,
-            "witness": {
-                "envious": self.witness.envious,
-                "envied": self.witness.envied,
-                "own_value": rs(self.witness.own_value),
-                "other_value": rs(self.witness.other_value),
-            },
+            "witness": self.witness and self.witness.to_json(),
         }
 
     @staticmethod
-    def from_json(data: dict) -> "StoredCounterexample":
-        return StoredCounterexample(
+    def from_json(data: dict) -> "Counterexample":
+        """The stored witness is not read: `replay` recomputes it."""
+        return Counterexample(
             valuations=valuation_set_from_json(data["valuations"]),
             mark_table={int(k): Fraction(v)
                         for k, v in data["mark_table"].items()},
             path_index=data["path_index"],
         )
-
-
-@dataclass
-class StoredCounterexample:
-    valuations: ValuationSet
-    mark_table: dict[int, Fraction]
-    path_index: int
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +519,6 @@ class VerifyConfig:
     timeout: float = 60.0
     jobs: int = 1   # unread; perfbench sets it (ROADMAP item 11 drops it)
     exhaustive: bool = False
-    dump_dir: Optional[str] = None
     prune: bool = True
 
     def command(self) -> list[str]:
@@ -611,8 +602,6 @@ def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
     try:
         for s, vc in built:
             query = emit_smt(vc, n_agents)
-            if config.dump_dir:
-                write_query(config.dump_dir, index, s, query)
             stats.queries += 1
             try:
                 verdict, model = check_query(proc, query, vc, n_agents)
@@ -635,20 +624,23 @@ def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
 def _confirm(model: dict, s: Replacement, tr: Translated, index: int,
              decisions: dict, program: Program
              ) -> Union[Counterexample, SolverVerdictUnknown]:
-    """Replay a model through the interpreter on the path's if-free
-    expression; mandatory before Invalid."""
+    """Replay a model through the whole program; mandatory before Invalid.
+    The replay must take the path's own decisions and end in envy."""
+    order = f"(order {s.describe()})"
     try:
-        vs = extract_valuation_set(model, s, program.agents)
-        table = model_mark_table(model, tr.mark_ids)
-        run = evaluate(select_path(program.body, decisions), vs, replay=table)
-        ok, witness = check_envy_free(run.value, vs)
+        ce = Counterexample.from_model(model, s, tr.mark_ids, index,
+                                       program.agents)
+        branches = ce.replay(program)
     except SliceError as exc:
         return SolverVerdictUnknown(
-            f"counterexample failed to replay: {exc}", index)
-    if ok:
+            f"counterexample failed to replay: {exc} {order}", index)
+    if dict(branches) != decisions:
         return SolverVerdictUnknown(
-            "solver model did not reproduce an envy violation", index)
-    return Counterexample(vs, table, index, witness, run.value)
+            f"counterexample replay left path {index} {order}", index)
+    if ce.witness is None:
+        return SolverVerdictUnknown(
+            f"solver model did not reproduce an envy violation {order}", index)
+    return ce
 
 
 def verify_program(program: Program, config: Optional[VerifyConfig] = None,
@@ -684,12 +676,3 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
     elif result.unknowns:
         result.verdict = "unknown"
     return result
-
-
-def replay_counterexample(program: Program, stored: StoredCounterexample
-                          ) -> tuple[Value, Optional[EnvyWitness]]:
-    """Re-execute a persisted counterexample; returns the allocation and the
-    envy witness (None when the allocation turns out envy-free)."""
-    run = evaluate(program.body, stored.valuations, replay=stored.mark_table)
-    ok, witness = check_envy_free(run.value, stored.valuations)
-    return run.value, None if ok else witness

@@ -353,17 +353,13 @@ def mark_ids(e: Expr) -> list[int]:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-def _fmt_rat(x: Fraction) -> str:
-    return str(x)
-
-
 def _fmt_value(v) -> str:
     if isinstance(v, BoolVal):
         return "true" if v.flag else "false"
     if isinstance(v, PointVal):
-        return _fmt_rat(v.point)
+        return str(v.point)
     if isinstance(v, IntervalVal):
-        return f"[{_fmt_rat(v.lo)}, {_fmt_rat(v.hi)}]"
+        return f"[{v.lo}, {v.hi}]"
     if isinstance(v, PieceVal):
         return "pc(" + ", ".join(_fmt_value(i) for i in v.intervals) + ")"
     if v == ReadOnlyVal(CAKE):
@@ -419,7 +415,7 @@ def _inline(e: Expr, prec: int = 0) -> str:
         if e.op == OP_NOT:
             return f"not {_inline(e.args[0], 5)}"
         if e.op == OP_SCALE:
-            return f"{_fmt_rat(e.coeff)} * {_inline(e.args[0], 5)}"
+            return f"{e.coeff} * {_inline(e.args[0], 5)}"
         mine = _PREC[e.op]
         # comparisons do not chain: parenthesize a nested comparison even on
         # the left

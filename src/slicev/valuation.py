@@ -344,19 +344,15 @@ def easily_replaceable_check(u: ValuationSet, points: Iterable[Rational]) -> boo
 
 
 # ---------------------------------------------------------------------------
-# JSON persistence (rationals as "p/q" strings)
+# JSON persistence (rationals as "p/q" strings, "p" for an integer)
 # ---------------------------------------------------------------------------
-
-def _rs(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
 
 def valuation_to_json(v: AnyValuation) -> dict:
     if isinstance(v, PUValuation):
         return {"type": "piecewise_uniform",
-                "support": [[_rs(a), _rs(b)] for a, b in v.support]}
+                "support": [[str(a), str(b)] for a, b in v.support]}
     return {"type": "piecewise_linear",
-            "segments": [[_rs(s.lo), _rs(s.hi), _rs(s.slope), _rs(s.intercept)]
+            "segments": [[str(s.lo), str(s.hi), str(s.slope), str(s.intercept)]
                          for s in v.segments]}
 
 

@@ -122,9 +122,10 @@ def test_compile_dumps_queries(capsys, tmp_path):
     report = json.loads(out)
     assert report["queries"] == 2
     files = sorted(p.name for p in out_dir.iterdir())
-    assert len(files) == 2
+    assert files == ["path00000_order_0.smt2", "path00001_order_0.smt2"]
     text = (out_dir / files[0]).read_text()
-    assert "(set-logic QF_LRA)" in text
+    assert text.startswith("; path 0, order 0 < y0 < 1\n")
+    assert "(set-logic QF_LRA)" in text and "(check-sat)" in text
 
 
 def test_usage_error_exit_64(capsys):

@@ -253,10 +253,15 @@ def test_translation_is_in_normal_form():
     assert n_paths == 4360
 
 
-def _check_shapes(root):
+def _check_shapes(root, seen: dict):
+    """Check every node under `root` not in `seen` (id -> node, kept so
+    that the ids stay their own), and add it there."""
     stack = [root]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
         kids = parts(node)
         assert list(kids) == _node_fields(node)
         assert rebuild(node, kids) == node
@@ -269,15 +274,16 @@ def test_parts_and_rebuild_follow_the_dataclass_fields():
     n_paths = 0
     for path_file in [*GOOD_PROTOCOLS.values(), *BAD_PROTOCOLS.values()]:
         program, table = load(path_file), VCTable()   # one run per protocol
+        seen = {}   # the nodes checked so far; the run shares many
         for path in enumerate_paths(program.body):
             n_paths += 1
             tr = translate(path.expr)
-            _check_shapes(tr.result)
-            _check_shapes(tr.constraint)
+            _check_shapes(tr.result, seen)
+            _check_shapes(tr.constraint, seen)
             for s in path_replacements(tr, prune=True)[0]:
                 vc = build_vc(tr, s, program.agents, table)
-                _check_shapes(vc.antecedent)
-                _check_shapes(vc.negated_goal)
+                _check_shapes(vc.antecedent, seen)
+                _check_shapes(vc.negated_goal, seen)
     assert n_paths == 4360
     p = interval(c(0), y(0))
     pair = TupleT((p, UnionT((interval(y(0), c(1)),))))
@@ -288,7 +294,7 @@ def test_parts_and_rebuild_follow_the_dataclass_fields():
         OrF((GeF(AddT(y(0), c(0)), c(1)), NotF(EqF(y(0), c(1))), FalseF())),
     ]
     for node in hand_built:
-        _check_shapes(node)
+        _check_shapes(node, {})
         walked, oracle = list(subterms(node)), list(_nodes(node))
         assert len(walked) == len(oracle)
         assert all(map(operator.is_, walked, oracle))

@@ -11,15 +11,15 @@ from slicev.interp import evaluate, check_envy_free
 from slicev.logic import (
     ONE_KEY, VC, AddT, AndF, Const, EqF, FalseF, GeF, IntervalT, NotF, OrF,
     TrueF, TupleT, ValT, YVar, ZVar, build_vc, replacement_from_permutation,
-    translate,
+    translate, translate_paths,
 )
-from slicev.paths import enumerate_paths
+from slicev.paths import enumerate_paths, path_index
 from slicev import smtlib, solver
 from slicev.solver import (
     BundledSolver, Counterexample, SolverDied, SolverError, SolverProcess,
-    VerifyConfig, check_query, default_solver_command, emit_smt,
-    extract_valuation_set, lower_formula, parse_model, replay_counterexample,
-    smt_name, start_solver, verify_program,
+    VerifyConfig, _confirm, check_query, default_solver_command, emit_smt,
+    lower_formula, parse_model, path_replacements, smt_name, start_solver,
+    verify_program,
 )
 from slicev.syntax import parse
 
@@ -286,7 +286,9 @@ def test_extraction_from_known_model():
     s = replacement_from_permutation([0])
     model = {"y0": F(1, 2), "z1_y0": F(1, 4), "z1_one": F(3, 4),
              "z2_y0": F(0), "z2_one": F(1, 2)}
-    vs = extract_valuation_set(model, s, 2)
+    ce = Counterexample.from_model(model, s, (0,), 5, 2)
+    assert ce.mark_table == {0: F(1, 2)} and ce.path_index == 5
+    vs = ce.valuations
     assert vs.agent(1).support == ((F(1, 4), F(1, 2)), (F(3, 4), F(1)))
     assert vs.agent(2).support == ((F(0), F(1, 2)), (F(1, 2), F(1)))
 
@@ -306,7 +308,7 @@ def test_extraction_drops_zero_windows():
     s = replacement_from_permutation([0])
     model = {"y0": F(1, 2), "z1_y0": F(1, 2), "z1_one": F(1, 2),
              "z2_y0": F(1, 2), "z2_one": F(1, 2)}
-    vs = extract_valuation_set(model, s, 2)
+    vs = Counterexample.from_model(model, s, (0,), 0, 2).valuations
     assert vs.agent(1).support == ((F(1, 2), F(1)),)
 
 
@@ -456,18 +458,10 @@ def test_ill_formed_protocol_rejected():
         verify_program(program, VerifyConfig(solver=BUNDLED))
 
 
-def test_dump_smt_writes_scripts(tmp_path, programs):
-    config = VerifyConfig(solver=BUNDLED, dump_dir=str(tmp_path))
-    verify_program(programs["cut_choose"], config)
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == ["path00000_order_0.smt2", "path00001_order_0.smt2"]
-    text = (tmp_path / files[0]).read_text()
-    assert text.startswith("; path 0")
-    assert "(check-sat)" in text
-
-
-def test_dump_smt_prints_each_query_once_as_compile_does(tmp_path,
-                                                         monkeypatch):
+def test_verify_sends_the_queries_compile_writes(tmp_path, monkeypatch):
+    # `compile --out` writes each query `verify` checks, byte for byte: the
+    # file is a comment naming its path and order, the logic header, and
+    # the text `emit_smt` gave `verify`
     source = GOOD_PROTOCOLS["waste_makes_haste3"]
     compiled = tmp_path / "compiled"
     run = subprocess.run(
@@ -478,31 +472,65 @@ def test_dump_smt_prints_each_query_once_as_compile_does(tmp_path,
     assert run.returncode == 0, run.stderr
     emit, texts = solver.emit_smt, []
 
-    def counting(*args, **kwargs):
+    def recording(*args, **kwargs):
         texts.append(emit(*args, **kwargs))
         return texts[-1]
 
-    monkeypatch.setattr(solver, "emit_smt", counting)
-    dumped = tmp_path / "dumped"
-    res = verify_program(load(source), VerifyConfig(
-        solver=BUNDLED, dump_dir=str(dumped)))
+    monkeypatch.setattr(solver, "emit_smt", recording)
+    res = verify_program(load(source), VerifyConfig(solver=BUNDLED))
     assert res.verdict == "valid" and len(texts) == res.stats.queries
-    names = sorted(p.name for p in compiled.iterdir())
-    assert names == sorted(p.name for p in dumped.iterdir())
-    assert len(names) == res.stats.queries
-    for name in names:
-        assert (dumped / name).read_bytes() == (compiled / name).read_bytes()
+    files = [p.read_text().split("\n", 1) for p in compiled.iterdir()]
+    assert all(comment.startswith("; path ") for comment, _rest in files)
+    assert sorted(rest for _comment, rest in files) == sorted(
+        solver._HEADER + text for text in texts)
 
 
 def test_counterexample_json_roundtrip(bad_programs):
-    program = bad_programs["surplus_unsafe_trim"]
-    res = verify_program(program, VerifyConfig(solver=BUNDLED))
-    ce = res.counterexample
-    stored = Counterexample.from_json(json.loads(json.dumps(ce.to_json())))
-    alloc, witness = replay_counterexample(program, stored)
-    assert witness is not None
-    assert witness.envious == ce.witness.envious
-    assert witness.own_value == ce.witness.own_value
+    # what `verify --save-counterexample` writes, `slicev replay` runs
+    # through the whole program to the same envy, on the same path
+    for name, program in bad_programs.items():
+        res = verify_program(program, VerifyConfig(solver=BUNDLED,
+                                                   exhaustive=True))
+        assert res.verdict == "invalid" and res.counterexamples, name
+        for ce in res.counterexamples:
+            stored = Counterexample.from_json(
+                json.loads(json.dumps(ce.to_json())))
+            assert stored.witness is None
+            branches = stored.replay(program)
+            assert stored.witness == ce.witness, name
+            assert stored.allocation == ce.allocation, name
+            assert path_index(program.body, dict(branches)) == ce.path_index
+
+
+def test_counterexample_json_reads_integers_as_p_over_1():
+    data = {"valuations": {"agents": 2, "valuations": [
+        {"type": "piecewise_uniform", "support": [["0/1", "1/2"]]},
+        {"type": "piecewise_uniform", "support": [["1/2", "1/1"]]}]},
+        "mark_table": {"0": "1/1", "1": "0/1"}, "path_index": 3}
+    ce = Counterexample.from_json(data)
+    assert ce.mark_table == {0: F(1), 1: F(0)}
+    assert ce.valuations.agent(2).support == ((F(1, 2), F(1)),)
+    assert ce.to_json()["mark_table"] == {"0": "1", "1": "0"}
+    assert ce.to_json()["valuations"]["valuations"][0]["support"] == [
+        ["0", "1/2"]]
+
+
+def test_a_model_whose_replay_leaves_its_path_is_unknown(bad_programs):
+    # the model is sound for its own path; confirmed against the decisions
+    # of another path, its replay takes a branch those decisions do not
+    program = bad_programs["cut_choose_cutter_chooses"]
+    index, (tr, decisions) = 0, next(translate_paths(program.body))
+    s = path_replacements(tr, True)[0][0]
+    verdict, model = BundledSolver().check(
+        build_vc(tr, s, program.agents), program.agents)
+    assert verdict == "sat" and decisions
+    ce = _confirm(model, s, tr, index, decisions, program)
+    assert ce.path_index == index and ce.witness is not None
+    planted = {i: not taken for i, taken in decisions.items()}
+    unknown = _confirm(model, s, tr, index, planted, program)
+    assert unknown.path_index == index
+    assert unknown.reason == (f"counterexample replay left path {index} "
+                              f"(order {s.describe()})")
 
 
 def test_default_solver_command_prefers_external(monkeypatch):
