@@ -458,6 +458,22 @@ def test_ill_formed_protocol_rejected():
         verify_program(program, VerifyConfig(solver=BUNDLED))
 
 
+def test_dump_smt_writes_scripts(tmp_path, programs):
+    # `write_query` names each script by its path and order and prefixes
+    # the text `emit_smt` gives with a comment and the logic header
+    program = programs["cut_choose"]
+    for index, (tr, _decisions) in enumerate(translate_paths(program.body)):
+        s = path_replacements(tr, True)[0][0]
+        body = emit_smt(build_vc(tr, s, program.agents), program.agents)
+        solver.write_query(str(tmp_path), index, s, body)
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == ["path00000_order_0.smt2", "path00001_order_0.smt2"]
+    text = (tmp_path / files[0]).read_text()
+    assert text.startswith("; path 0")
+    assert "(check-sat)" in text
+    assert text.split("\n", 1)[1].startswith(solver._HEADER)
+
+
 def test_verify_sends_the_queries_compile_writes(tmp_path, monkeypatch):
     # `compile --out` writes each query `verify` checks, byte for byte: the
     # file is a comment naming its path and order, the logic header, and
