@@ -16,11 +16,12 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import Optional
 
 from .core import SliceError
-from .interp import check_envy_free, evaluate
+from .interp import EnvyWitness, check_envy_free, evaluate
 from .logic import VCTable, translate_paths
-from .paths import count_paths, enumerate_paths
+from .paths import count_paths, enumerate_paths, path_index
 from .solver import (
     Counterexample, SolverError, VerifyConfig, build_vc, emit_smt,
     path_replacements, verify_program, write_query,
@@ -149,6 +150,7 @@ def cmd_verify(args) -> int:
         "paths_checked": result.stats.paths,
         "queries": result.stats.queries,
         "queries_from_cores": result.stats.queries_from_cores,
+        "pivots": result.stats.pivots,
         "orders_pruned": result.stats.orders_pruned,
         "translate_seconds": round(result.stats.translate_seconds, 3),
         "solve_seconds": round(result.stats.solve_seconds, 3),
@@ -169,6 +171,7 @@ def cmd_verify(args) -> int:
         print(f"{args.file}: {result.verdict}  "
               f"(paths {report['paths']}, queries {report['queries']}, "
               f"{report['queries_from_cores']} from cores, "
+              f"pivots {report['pivots']}, "
               f"{report['total_seconds']}s)")
         if ce is not None:
             print(f"  counterexample on path {ce.path_index}: {ce.witness}")
@@ -228,19 +231,39 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def saved_counterexample(data: dict
+                         ) -> tuple[Counterexample, Optional[EnvyWitness]]:
+    """A counterexample's JSON and the witness it holds, if any."""
+    w = data.get("witness")
+    return Counterexample.from_json(data), None if w is None else EnvyWitness(
+        w["envious"], w["envied"], Fraction(w["own_value"]),
+        Fraction(w["other_value"]))
+
+
 def cmd_replay(args) -> int:
+    """Replay a saved counterexample; the run must take its `path_index`
+    and, when the file holds a witness, reproduce that witness."""
     program = load_program(args.file)
-    ce = load_json(args.counterexample, Counterexample.from_json)
+    ce, saved = load_json(args.counterexample, saved_counterexample)
     if ce.valuations.n_agents != program.agents:
         print("counterexample has the wrong number of agents",
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        ce.replay(program)
+        branches = ce.replay(program)
     except SliceError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     alloc, witness = ce.allocation, ce.witness
+    index = path_index(program.body, dict(branches))
+    if index != ce.path_index:
+        print(f"replay took path {index}, not the saved path "
+              f"{ce.path_index}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    if witness is not None and saved is not None and witness != saved:
+        print(f"replay found that {witness}, but the file saves that "
+              f"{saved}", file=sys.stderr)
+        return EXIT_UNKNOWN
     if args.json:
         print(json.dumps({
             "file": args.file,

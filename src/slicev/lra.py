@@ -95,7 +95,7 @@ class Simplex:
     variable; asserting an atom tightens a bound, tagged with `why`.  Bound
     changes are kept on a trail so branches of a disjunction can be explored
     with push/pop.  After `check` returns `False`, `conflict` holds the tags
-    of the bounds that explain it.
+    of the bounds that explain it.  `pivot_count` counts every pivot made.
     """
 
     def __init__(self):
@@ -115,6 +115,7 @@ class Simplex:
         self.slack_by_form: dict[tuple, int] = {}
         self.trail: list[tuple] = []
         self.marks: list[int] = []
+        self.pivot_count = 0
 
     # -- variables ---------------------------------------------------------
 
@@ -225,6 +226,7 @@ class Simplex:
         return None
 
     def _pivot(self, leave: int, enter: int, target: Triple) -> None:
+        self.pivot_count += 1
         row = self.rows.pop(leave)
         d = self.den.pop(leave)
         a = row.pop(enter)

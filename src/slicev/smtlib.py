@@ -297,14 +297,31 @@ class _Search:
     """DFS over disjunction branches with incremental bound assertion.  Each
     goal comes with the tag its bounds carry; a failure is explained by the
     tags of a simplex conflict or, at a case split, by the union of its
-    branches' explanations (for an empty disjunction, by its own tag)."""
+    branches' explanations (for an empty disjunction, by its own tag).
 
-    def __init__(self, names: list[str], deadline: Optional[float] = None):
-        self.deadline = deadline
+    One search may decide many queries in turn.  `solve` pops every bound
+    it asserts, so no bound, and no tag, outlives its query.  What stays is
+    the simplex's variables (one per name ever used), its slack rows, its
+    basis and its assignment: each row defines a slack `s_f = f(x)`, which
+    any values of the original variables satisfy, so the next query starts
+    from the last one's basis and point instead of from all zeros."""
+
+    def __init__(self):
         self.simplex = Simplex()
-        self.vars = {name: self.simplex.new_var() for name in names}
-        self.names = {idx: name for name, idx in self.vars.items()}
+        self.vars: dict[str, int] = {}
+        self.names: dict[int, str] = {}
+        self.deadline: Optional[float] = None
         self.model: Optional[dict] = None
+
+    def use(self, names: list[str], deadline: Optional[float]) -> None:
+        """Set up the next query: its variables `names`, each of which gets
+        a simplex variable on its first use and is all the model reports,
+        and its `time.monotonic()` deadline."""
+        for name in names:
+            if name not in self.vars:
+                self.vars[name] = self.simplex.new_var()
+        self.names = {self.vars[name]: name for name in names}
+        self.deadline = deadline
 
     def _assert_atom(self, atom, why) -> None:
         _k, op, coeffs, const = atom
@@ -379,17 +396,25 @@ class _Search:
 
 def check_assertions(names: list[str], assertions: list,
                      deadline: Optional[float] = None,
-                     cores: Optional[list] = None
+                     cores: Optional[list] = None,
+                     search: Optional[_Search] = None
                      ) -> tuple[str, Optional[dict]]:
     """Decide the conjunction of `assertions` over the variables `names`:
     ("sat", model) or ("unsat", None).  The bounds of the j-th top-level
     conjunct of assertion i (of the assertion itself, when it is no
     conjunction) are tagged (i, j).  Every unsat answer appends its
     explanation, a set of those tags whose conjuncts alone are unsat, to
-    `cores` when given."""
+    `cores` when given.
+
+    Without `search` the query gets a fresh one.  A `search` given is
+    reused: it keeps the rows, basis and assignment of the queries it
+    decided before (see `_Search`), so the answer is the same but a sat
+    model may be another point.  If this raises, drop `search`: a pivot
+    cut short leaves rows that no longer define their slacks."""
     goals = [(_nnf(f), (i, j)) for i, a in enumerate(assertions)
              for j, f in enumerate(a[1] if a[0] == "and" else [a])]
-    search = _Search(names, deadline)
+    search = search or _Search()
+    search.use(names, deadline)
     try:
         search.solve(goals)
     except Infeasible as exc:

@@ -210,11 +210,21 @@ class BundledSolver:
     whose antecedent has all of them is answered `unsat` at once, with no
     lowering and no search (and so with no check of the names it
     mentions).  Conjuncts are told apart by identity, which `logic.VCTable`
-    makes equality within a run."""
+    makes equality within a run.
+
+    The solver keeps one `smtlib._Search` per mark order
+    (`vc.replacement.order`), so each search starts from the basis and
+    point the last query of its order ended at.  Only the bounds go
+    between queries: the variables, slack rows, basis and assignment stay.
+    A search that raises is dropped, and the next query of its order starts
+    afresh.  Nothing of this outlives the solver, which is one run's.
+    `pivots` counts the pivots of every search."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
         self.queries_from_cores = 0
+        self.pivots = 0
+        self.searches: dict = {}    # mark order -> its smtlib._Search
         # id(conjunct) -> (conjunct, lowered, names it mentions); the entry
         # keeps the conjunct, so its id stays its own
         self.lowered: dict = {}
@@ -259,15 +269,22 @@ class BundledSolver:
             return "unsat", None
         deadline = time.monotonic() + self.timeout
         cores: list = []
+        order = vc.replacement.order
+        # taken out while it searches, and put back only once it answers
+        search = self.searches.pop(order, None) or smtlib._Search()
+        pivots = search.simplex.pivot_count
         try:
             answer = smtlib.check_assertions(*self.lower(vc, n_agents),
-                                             deadline, cores)
+                                             deadline, cores, search)
         except TimeoutError:
             return "timeout", None
         except Exception as exc:
             raise SolverDied(
                 f"bundled solver {' '.join(BUNDLED_SOLVER)!r} failed in "
                 f"process ({exc!r})") from exc
+        finally:
+            self.pivots += search.simplex.pivot_count - pivots
+        self.searches[order] = search
         for core in cores:
             # tags are (assertion, conjunct); assertion 0 is the antecedent
             if all(i == 0 for i, _j in core):
@@ -283,7 +300,7 @@ class BundledSolver:
 class SolverProcess:
     """One solver child process over stdin/stdout, used incrementally."""
 
-    queries_from_cores = 0      # it keeps no cores
+    queries_from_cores = pivots = 0     # it keeps no cores, counts no pivots
 
     def __init__(self, command: list[str], timeout: float = 60.0):
         self.command = command
@@ -543,6 +560,7 @@ class VerifyStats:
     paths: int = 0
     queries: int = 0
     queries_from_cores: int = 0     # answered unsat from a stored core
+    pivots: int = 0                 # simplex pivots of the bundled solver
     orders_pruned: int = 0
     translate_seconds: float = 0.0
     solve_seconds: float = 0.0
@@ -669,6 +687,7 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
             if outcome is not None and not config.exhaustive:
                 break
         result.stats.queries_from_cores = proc.queries_from_cores
+        result.stats.pivots = proc.pivots
     finally:
         proc.close()
     if result.counterexamples:

@@ -59,13 +59,39 @@ def test_verify_valid_json(capsys):
 
 def test_verify_reports_queries_answered_from_cores(capsys):
     # 162 of SCS's 216 antecedents contain a core that an earlier query's
-    # search stored in the run's one core table
+    # search stored in the run's one core table; the other 54 queries take
+    # 212 pivots, each search starting from the last of its mark order
     code, out = run(capsys, "verify", SCS, "--json", "--solver", BUNDLED)
     report = json.loads(out)
     assert code == 0 and report["queries"] == 216
     assert report["queries_from_cores"] == 162
+    assert report["pivots"] == 212
     code, out = run(capsys, "verify", SCS, "--solver", BUNDLED)
-    assert "queries 216, 162 from cores" in out
+    assert "queries 216, 162 from cores, pivots 212," in out
+
+
+def untimed(out: str) -> dict:
+    """A `verify --json` report without its timers."""
+    return {key: value for key, value in json.loads(out).items()
+            if not key.endswith("_seconds")}
+
+
+def test_a_run_keeps_no_state_for_the_next(capsys):
+    # the searches kept per mark order, like the core table, belong to one
+    # run: runs of other protocols in this process change no report
+    src = str(Path(slicev.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    scs_not_forced = str(BAD_PROTOCOLS["scs_not_forced"])
+    fresh = {}
+    for name in (SCS, scs_not_forced):
+        done = subprocess.run(
+            [sys.executable, "-m", "slicev.cli", "verify", name, "--json",
+             "--solver", BUNDLED], env=env, capture_output=True, text=True)
+        fresh[name] = untimed(done.stdout)
+    for name in (SCS, scs_not_forced, SCS):
+        code, out = run(capsys, "verify", name, "--json", "--solver", BUNDLED)
+        assert untimed(out) == fresh[name], name
+    assert fresh[scs_not_forced]["verdict"] == "invalid"
 
 
 @pytest.mark.parametrize("protocol", [*GOOD_PROTOCOLS.values(),
@@ -82,6 +108,7 @@ def test_verify_counters_add_up(capsys, protocol):
     assert (report["translate_seconds"] + report["solve_seconds"]
             <= report["total_seconds"] + 0.0015)
     assert report["queries_from_cores"] <= report["queries"]
+    assert isinstance(report["pivots"], int) and report["pivots"] >= 0
 
 
 def test_verify_invalid_with_saved_counterexample(capsys, tmp_path):
@@ -97,6 +124,27 @@ def test_verify_invalid_with_saved_counterexample(capsys, tmp_path):
     assert code == 1
     replayed = json.loads(out)
     assert replayed["envy_confirmed"] is True
+
+
+def test_replay_checks_the_saved_path_and_witness(capsys, tmp_path):
+    # an edited path index or witness no longer passes for a confirmation
+    scf_bug = str(BAD_PROTOCOLS["scf_taker_cuts"])
+    ce_file = tmp_path / "ce.json"
+    code, _out = run(capsys, "verify", scf_bug, "--solver", BUNDLED,
+                     "--save-counterexample", str(ce_file))
+    saved = json.loads(ce_file.read_text())
+    assert code == 1 and saved["path_index"] == 9
+    assert run(capsys, "replay", scf_bug, str(ce_file))[0] == 1
+    witness = {**saved["witness"], "own_value": "1/1000"}
+    for edit, message in (
+            ({"path_index": 1234},
+             "replay took path 9, not the saved path 1234\n"),
+            ({"witness": witness}, "but the file saves that agent ")):
+        ce_file.write_text(json.dumps({**saved, **edit}))
+        assert main(["replay", scf_bug, str(ce_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 def test_simulate_seeded_reproducible(capsys):

@@ -14,7 +14,7 @@ from slicev.logic import (
     translate, translate_paths,
 )
 from slicev.paths import enumerate_paths, path_index
-from slicev import smtlib, solver
+from slicev import lra, smtlib, solver
 from slicev.solver import (
     BundledSolver, Counterexample, SolverDied, SolverError, SolverProcess,
     VerifyConfig, _confirm, check_query, default_solver_command, emit_smt,
@@ -177,6 +177,43 @@ def test_bundled_solver_answers_after_a_failed_query(bad_programs,
     assert ([c.to_json() for c in res.counterexamples]
             == [c.to_json() for c in expected.counterexamples
                 if c.path_index != 0])
+
+
+def test_a_search_cut_short_is_dropped(bad_programs, monkeypatch):
+    # The bundled solver keeps one search per mark order, so a pivot cut
+    # short, here after it took the leaving row out of the tableau, would
+    # leave a slack without its definition for the order's later queries.
+    # Planted at each pivot of the run in turn, it makes only its own path
+    # unknown; every other path keeps its verdict, and every counterexample
+    # replays on its own path.
+    program = bad_programs["cut_choose_swapped_branch"]
+    config = VerifyConfig(solver=BUNDLED, exhaustive=True)
+    expected = verify_program(program, config)
+    invalid = {ce.path_index for ce in expected.counterexamples}
+    assert invalid and not expected.unknowns
+    pivot = lra.Simplex._pivot
+    for planted_at in range(1, expected.stats.pivots + 1):
+        calls = []
+
+        def cut_short(self, leave, enter, target):
+            calls.append(leave)
+            if len(calls) == planted_at:
+                del self.rows[leave]
+                raise RuntimeError("pivot cut short")
+            pivot(self, leave, enter, target)
+
+        monkeypatch.setattr(lra.Simplex, "_pivot", cut_short)
+        res = verify_program(program, config)
+        (unknown,) = res.unknowns
+        assert "RuntimeError('pivot cut short')" in unknown.reason
+        assert ({ce.path_index for ce in res.counterexamples}
+                == invalid - {unknown.path_index}), planted_at
+        monkeypatch.setattr(lra.Simplex, "_pivot", pivot)
+        for ce in res.counterexamples:
+            stored = Counterexample.from_json(ce.to_json())
+            branches = stored.replay(program)
+            assert stored.witness is not None
+            assert path_index(program.body, dict(branches)) == ce.path_index
 
 
 def test_bundled_solver_answers_check_sat():
