@@ -50,6 +50,16 @@ def load_program(path: str) -> Program:
         return parse(fh.read())
 
 
+def wellformed_program(path: str) -> Optional[Program]:
+    """The program in `path`; None, once its violations are printed to
+    standard error, when it is not well-formed."""
+    program = load_program(path)
+    violations = check_wellformed(program)
+    for v in violations:
+        print(f"{path}: {v.code}: {v.message}", file=sys.stderr)
+    return None if violations else program
+
+
 def load_json(path: str, from_json):
     """`from_json` of a JSON file; a malformed file is a usage error."""
     with open(path) as fh:
@@ -105,11 +115,8 @@ def cmd_paths(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    program = load_program(args.file)
-    violations = check_wellformed(program)
-    if violations:
-        for v in violations:
-            print(f"{args.file}: {v.code}: {v.message}", file=sys.stderr)
+    program = wellformed_program(args.file)
+    if program is None:
         return EXIT_VIOLATION
     queries, table = 0, VCTable()
     for index, (tr, _decisions) in enumerate(translate_paths(program.body)):
@@ -151,6 +158,7 @@ def cmd_verify(args) -> int:
         "queries": result.stats.queries,
         "queries_from_cores": result.stats.queries_from_cores,
         "pivots": result.stats.pivots,
+        "solver": result.stats.solver,
         "orders_pruned": result.stats.orders_pruned,
         "translate_seconds": round(result.stats.translate_seconds, 3),
         "solve_seconds": round(result.stats.solve_seconds, 3),
@@ -172,7 +180,7 @@ def cmd_verify(args) -> int:
               f"(paths {report['paths']}, queries {report['queries']}, "
               f"{report['queries_from_cores']} from cores, "
               f"pivots {report['pivots']}, "
-              f"{report['total_seconds']}s)")
+              f"{report['total_seconds']}s, solver {report['solver']})")
         if ce is not None:
             print(f"  counterexample on path {ce.path_index}: {ce.witness}")
             for a, v in enumerate(ce.valuations, start=1):
@@ -191,11 +199,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    program = load_program(args.file)
-    violations = check_wellformed(program)
-    if violations:
-        for v in violations:
-            print(f"{args.file}: {v.code}: {v.message}", file=sys.stderr)
+    program = wellformed_program(args.file)
+    if program is None:
         return EXIT_VIOLATION
     if args.valuations:
         vs = load_json(args.valuations, valuation_set_from_json)

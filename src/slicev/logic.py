@@ -805,21 +805,3 @@ def eval_formula(f: Formula, vs: Optional[ValuationSet], assign: dict) -> bool:
         return any(eval_formula(i, vs, assign) for i in f.items)
     raise LogicError(f"cannot evaluate {f!r}")
 
-
-def term_to_value(t: Term, assign: dict) -> Value:
-    """Reconstruct the runtime value a result term denotes."""
-    if isinstance(t, Const):
-        return PointVal(t.value)
-    if isinstance(t, YVar):
-        return PointVal(assign[t])
-    if isinstance(t, IntervalT):
-        return IntervalVal(eval_term(t.lo, None, assign),
-                           eval_term(t.hi, None, assign))
-    if isinstance(t, UnionT):
-        return PieceVal(tuple(
-            IntervalVal(eval_term(iv.lo, None, assign),
-                        eval_term(iv.hi, None, assign))
-            for iv in t.intervals))
-    if isinstance(t, TupleT):
-        return TupleVal(tuple(term_to_value(i, assign) for i in t.items))
-    raise LogicError(f"no value form for {t!r}")

@@ -99,7 +99,6 @@ class Simplex:
     """
 
     def __init__(self):
-        self.n = 0
         self.lower: list[Optional[Triple]] = []
         self.upper: list[Optional[Triple]] = []
         self.assign: list[Triple] = []
@@ -120,8 +119,7 @@ class Simplex:
     # -- variables ---------------------------------------------------------
 
     def new_var(self) -> int:
-        idx = self.n
-        self.n += 1
+        idx = len(self.assign)
         self.lower.append(None)
         self.upper.append(None)
         self.lower_why.append(None)
@@ -302,8 +300,7 @@ class Simplex:
         """Choose a numeric epsilon small enough for all bounds and report
         exact rationals for the named variables."""
         eps = Fraction(1)
-        for x in range(self.n):
-            v = self.assign[x]
+        for x, v in enumerate(self.assign):
             for bound, is_lower in ((self.lower[x], True), (self.upper[x], False)):
                 if bound is None:
                     continue

@@ -27,9 +27,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from .core import Expr, SliceError, Value, format_rational
+from .core import SliceError, Value, format_rational
 from .interp import EnvyWitness, check_envy_free, evaluate
 from .logic import (
     VC, AddT, AndF, Const, EqF, FalseF, Formula, GeF, NotF, OrF,
@@ -562,16 +562,24 @@ class VerifyStats:
     queries_from_cores: int = 0     # answered unsat from a stored core
     pivots: int = 0                 # simplex pivots of the bundled solver
     orders_pruned: int = 0
+    solver: str = ""                # "in-process", or the solver's command
     translate_seconds: float = 0.0
     solve_seconds: float = 0.0
 
 
 @dataclass
 class VerifyResult:
-    verdict: str                 # "valid" | "invalid" | "unknown"
     counterexamples: list = field(default_factory=list)
     unknowns: list = field(default_factory=list)
     stats: VerifyStats = field(default_factory=VerifyStats)
+
+    @property
+    def verdict(self) -> str:
+        """"invalid" with a counterexample, else "unknown" with an unknown,
+        else "valid"."""
+        if self.counterexamples:
+            return "invalid"
+        return "unknown" if self.unknowns else "valid"
 
     @property
     def counterexample(self) -> Optional[Counterexample]:
@@ -585,21 +593,6 @@ def path_replacements(tr: Translated, prune: bool
     facts = ordering_facts(tr.constraint) if prune else ([], [])
     kept = compatible_replacements(tr.mark_ids, facts)
     return kept, math.factorial(len(tr.mark_ids)) - len(kept)
-
-
-def _walk(body: Expr, stats: VerifyStats
-          ) -> Iterator[tuple[int, Translated, dict]]:
-    """Each path of `body` as (index, translation, decisions), in path order,
-    from `translate_paths`; the walk's time goes to `stats`."""
-    leaves = enumerate(translate_paths(body))
-    while True:
-        t0 = time.monotonic()
-        leaf = next(leaves, None)
-        stats.translate_seconds += time.monotonic() - t0
-        if leaf is None:
-            return
-        index, (tr, decisions) = leaf
-        yield index, tr, decisions
 
 
 def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
@@ -674,24 +667,29 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
         raise SliceError(
             "protocol is not well-formed: "
             + "; ".join(v.message for v in violations))
-    result = VerifyResult("valid")
-    proc, table = start_solver(config), VCTable()
+    result, table = VerifyResult(), VCTable()
+    stats, proc = result.stats, start_solver(config)
+    stats.solver = (" ".join(proc.command) if isinstance(proc, SolverProcess)
+                    else "in-process")
+    leaves = enumerate(translate_paths(program.body))
     try:
-        for leaf in _walk(program.body, result.stats):
-            outcome = _check_path(proc, *leaf, program, config, table,
-                                  result.stats)
+        while True:
+            t0 = time.monotonic()     # the walk's time is translation time
+            leaf = next(leaves, None)
+            stats.translate_seconds += time.monotonic() - t0
+            if leaf is None:
+                break
+            index, (tr, decisions) = leaf
+            outcome = _check_path(proc, index, tr, decisions, program, config,
+                                  table, stats)
             if isinstance(outcome, Counterexample):
                 result.counterexamples.append(outcome)
             elif outcome is not None:
                 result.unknowns.append(outcome)
             if outcome is not None and not config.exhaustive:
                 break
-        result.stats.queries_from_cores = proc.queries_from_cores
-        result.stats.pivots = proc.pivots
+        stats.queries_from_cores = proc.queries_from_cores
+        stats.pivots = proc.pivots
     finally:
         proc.close()
-    if result.counterexamples:
-        result.verdict = "invalid"
-    elif result.unknowns:
-        result.verdict = "unknown"
     return result

@@ -124,7 +124,7 @@ class _Parser:
         body = self.expr(n)
         if self.peek().kind != "eof":
             raise self.fail(f"trailing input {self.peek().text!r}")
-        return Program(n, body)
+        return Program(n, assign_mark_ids(body))
 
     def expr(self, n: int) -> Expr:
         if self.at("let"):
@@ -305,7 +305,7 @@ class _Parser:
 
 def parse(text: str) -> Program:
     """Parse a full source file (with `agents N;` header)."""
-    return assign_mark_ids_program(_Parser(text).program())
+    return _Parser(text).program()
 
 
 def parse_expr(text: str, agents: int = 8) -> Expr:
@@ -340,10 +340,6 @@ def assign_mark_ids(e: Expr) -> Expr:
     return go(e)
 
 
-def assign_mark_ids_program(p: Program) -> Program:
-    return Program(p.agents, assign_mark_ids(p.body))
-
-
 def mark_ids(e: Expr) -> list[int]:
     from .core import walk
     return [node.mark_id for node in walk(e) if isinstance(node, Mark)]
@@ -352,20 +348,6 @@ def mark_ids(e: Expr) -> list[int]:
 # ---------------------------------------------------------------------------
 # Pretty printer
 # ---------------------------------------------------------------------------
-
-def _fmt_value(v) -> str:
-    if isinstance(v, BoolVal):
-        return "true" if v.flag else "false"
-    if isinstance(v, PointVal):
-        return str(v.point)
-    if isinstance(v, IntervalVal):
-        return f"[{v.lo}, {v.hi}]"
-    if isinstance(v, PieceVal):
-        return "pc(" + ", ".join(_fmt_value(i) for i in v.intervals) + ")"
-    if v == ReadOnlyVal(CAKE):
-        return "@cake"
-    raise SliceError(f"value {v!r} has no source form")
-
 
 _PREC = {OP_OR: 1, OP_AND: 2, OP_GE: 3, OP_EQ: 3, OP_ADD: 4}
 
@@ -394,7 +376,13 @@ def _pretty(e: Expr, indent: int) -> str:
 
 def _inline(e: Expr, prec: int = 0) -> str:
     if isinstance(e, Lit):
-        return "cake" if e.value == CAKE else _fmt_value(e.value)
+        if e.value == CAKE:
+            return "cake"
+        if e.value == ReadOnlyVal(CAKE):
+            return "@cake"
+        if isinstance(e.value, (BoolVal, PointVal, IntervalVal, PieceVal)):
+            return str(e.value)
+        raise SliceError(f"value {e.value!r} has no source form")
     if isinstance(e, Var):
         return e.name
     if isinstance(e, ReadVar):

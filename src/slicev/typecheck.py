@@ -54,11 +54,10 @@ class OperatorSignatureMismatch(SliceTypeError):
 @dataclass
 class _Scope:
     plain: dict[str, SliceType]            # non-affine bindings
-    twins: dict[str, SliceType]            # read-only twins, used via @name
     affine: dict[str, tuple[int, SliceType]]  # name -> (binder id, type)
 
     def child(self) -> "_Scope":
-        return _Scope(dict(self.plain), dict(self.twins), dict(self.affine))
+        return _Scope(dict(self.plain), dict(self.affine))
 
 
 Uses = dict  # binder id -> source text of the use site
@@ -102,9 +101,9 @@ class _Checker:
                 return scope.plain[e.name], {}
             raise UnboundVariable(f"unbound variable {e.name!r}")
         if isinstance(e, ReadVar):
-            if e.name not in scope.twins:
+            if e.name not in scope.affine:
                 raise UnboundVariable(f"no read-only binding @{e.name}")
-            return scope.twins[e.name], {}
+            return read_type(scope.affine[e.name][1]), {}
         if isinstance(e, TupleE):
             comps, uses = [], []
             for item in e.items:
@@ -186,13 +185,11 @@ class _Checker:
         for name, t in zip(e.binders, nonaffine):
             inner.plain[name] = t
             inner.affine.pop(name, None)
-            inner.twins.pop(name, None)
         local_ids = set()
         for name, t in zip(e.binders[len(nonaffine):], affine):
             bid = self.new_id()
             local_ids.add(bid)
             inner.affine[name] = (bid, t)
-            inner.twins[name] = read_type(t)
             inner.plain.pop(name, None)
         tb, ub = self.check(e.body, inner)
         outer_uses = {k: v for k, v in ub.items() if k not in local_ids}
@@ -241,7 +238,7 @@ class _Checker:
 
 def typecheck(e: Expr) -> SliceType:
     """Type a closed expression or raise a SliceTypeError subclass."""
-    t, _uses = _Checker().check(e, _Scope({}, {}, {}))
+    t, _uses = _Checker().check(e, _Scope({}, {}))
     return t
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import pytest
 
 import slicev
 from slicev.cli import main
+from slicev.paths import enumerate_paths
+from slicev.syntax import mark_ids
 
-from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, ILL_TYPED_SURPLUS
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, ILL_TYPED_SURPLUS, load
 
 BUNDLED = f"{sys.executable} -m slicev.smtlib"
 CC = str(GOOD_PROTOCOLS["cut_choose"])
@@ -109,6 +112,28 @@ def test_verify_counters_add_up(capsys, protocol):
             <= report["total_seconds"] + 0.0015)
     assert report["queries_from_cores"] <= report["queries"]
     assert isinstance(report["pivots"], int) and report["pivots"] >= 0
+    if protocol in GOOD_PROTOCOLS.values():
+        # a valid run queries or prunes every order of every path's marks,
+        # and the pruning keeps one order per path
+        paths = enumerate_paths(load(protocol).body)
+        orders = sum(math.factorial(len(mark_ids(p.expr))) for p in paths)
+        assert report["verdict"] == "valid"
+        assert report["queries"] + report["orders_pruned"] == orders
+        assert report["queries"] == report["paths_checked"] == report["paths"]
+
+
+def test_verify_names_the_solver_that_answered(capsys):
+    # only the bundled solver's own command runs in process; any other
+    # spelling of it is a child process, which counts no pivots
+    code, out = run(capsys, "verify", CC, "--json", "--solver", BUNDLED)
+    assert code == 0 and json.loads(out)["solver"] == "in-process"
+    command = f"{sys.executable} -u -m slicev.smtlib"
+    code, out = run(capsys, "verify", CC, "--json", "--solver", command)
+    report = json.loads(out)
+    assert code == 0 and report["solver"] == command
+    assert report["pivots"] == 0
+    code, out = run(capsys, "verify", CC, "--solver", command)
+    assert out.rstrip().endswith(f"s, solver {command})")
 
 
 def test_verify_invalid_with_saved_counterexample(capsys, tmp_path):

@@ -14,10 +14,10 @@ from slicev.logic import (
     LogicError, NotF, OrF, PointAtomNotInS, ScaleT, Term, TrueF,
     TupleT, UnionT, ValT, YVar, ZVar,
     ZERO_KEY, ONE_KEY, apply_replacement, build_vc, compatible_replacements,
-    conjuncts, envy_formula, eval_formula, left,
+    conjuncts, envy_formula, eval_formula, eval_term, left,
     VCTable, order_formula, ordering_facts, parts, proj, rebuild,
     replacement_from_permutation, right, simplify, subterms,
-    term_to_value, translate,
+    translate,
 )
 from slicev.paths import enumerate_paths, select_path
 from slicev.solver import lower_formula, path_replacements
@@ -553,9 +553,9 @@ def test_replacement_preserves_truth_on_compatible_triples():
 
 # -- numeric evaluation helpers -----------------------------------------------------
 
-def test_term_to_value_reconstructs_allocation(programs):
+def test_result_term_evaluates_to_the_allocation(programs):
     tr = translate(first_path(programs, "cut_choose").expr)
-    v = term_to_value(tr.result, {y(0): F(1, 2)})
+    v = eval_term(tr.result, None, {y(0): F(1, 2)})
     from slicev.core import IntervalVal, PieceVal, TupleVal
     assert v == TupleVal((PieceVal((IntervalVal(F(1, 2), F(1)),)),
                           PieceVal((IntervalVal(F(0), F(1, 2)),))))

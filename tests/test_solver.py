@@ -384,7 +384,7 @@ def test_satisfying_model_denotes_the_replayed_value(bad_programs):
     # a model of a path constraint puts the interpreter on that very path,
     # and the run's value equals the result term under the model
     from slicev.core import unread
-    from slicev.logic import term_to_value, YVar
+    from slicev.logic import eval_term, YVar
 
     program = bad_programs["cut_choose_cutter_chooses"]
     res = verify_program(program, VerifyConfig(solver=BUNDLED))
@@ -394,7 +394,7 @@ def test_satisfying_model_denotes_the_replayed_value(bad_programs):
     tr = translate(path.expr)
     assign = {YVar(k): v for k, v in ce.mark_table.items()}
     run = evaluate(program.body, ce.valuations, replay=ce.mark_table)
-    assert term_to_value(tr.result, assign) == unread(run.value)
+    assert eval_term(tr.result, None, assign) == unread(run.value)
 
 
 def test_verification_is_deterministic(bad_programs):

@@ -4,6 +4,9 @@ rename or deletion here would drop per-layer metrics without any error."""
 
 import importlib.util
 import io
+import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -93,3 +96,22 @@ def test_verify_calls_each_layer_once_per_query(monkeypatch):
     res = verify_program(program, VerifyConfig(prune=False))
     assert res.verdict == "valid" and res.stats.queries > res.stats.paths
     assert calls == dict.fromkeys(calls, res.stats.queries)
+
+
+def test_a_traced_round_reports_every_per_layer_metric():
+    # A traced round whose tracer misses a function still exits 0, with
+    # that layer's metrics left out, so the benchmark would lose them
+    # quietly.  `perfbench/run.py` adds the three metrics below to those
+    # the round reports.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "verify_round.py"),
+         "--workload", "counterexamples", "--spawned", "0", "--jobs", "1",
+         "--trace"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["absent"] == [] and report["replay_mismatches"] == []
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    reported = {*report["layers"], "solver.paths_checked",
+                "solver.useful_path_ratio", "trace.overhead_s"}
+    assert {m["name"] for m in declared} - reported == set()
