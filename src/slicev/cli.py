@@ -167,9 +167,6 @@ def cmd_verify(args) -> int:
     ce = result.counterexample
     if ce is not None:
         report["counterexample"] = ce.to_json()
-        if args.save_counterexample:
-            with open(args.save_counterexample, "w") as fh:
-                json.dump(ce.to_json(), fh, indent=2)
     if result.unknowns:
         report["unknowns"] = [{"path_index": u.path_index, "reason": u.reason}
                               for u in result.unknowns]
@@ -191,6 +188,10 @@ def cmd_verify(args) -> int:
             print(f"    marks: {marks}")
         for u in result.unknowns:
             print(f"  unknown on path {u.path_index}: {u.reason}")
+    if ce is not None and args.save_counterexample:
+        # after the report, so a file that cannot be written loses nothing
+        with open(args.save_counterexample, "w") as fh:
+            json.dump(report["counterexample"], fh, indent=2)
     if result.verdict == "invalid":
         return EXIT_VIOLATION
     if result.verdict == "unknown":
@@ -321,15 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--all-orders", action="store_true",
-                   help="emit every replacement order (skip pruning)")
+                   help="emit every replacement order (skip pruning): one "
+                        "file per (path, order), 207,504 files for "
+                        "selfridge_conway_full")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("verify", help="prove envy-freeness or find a "
                                       "replayable counterexample")
     common(p)
     p.add_argument("--solver", default=None,
-                   help="solver command (default: z3/cvc5 if available, "
-                        "else the bundled slicev-smt, run in process)")
+                   help="solver command to run as a child process over "
+                        "SMT-LIB2 text; without it (or given this Python's "
+                        "exact '-m slicev.smtlib' command) the bundled "
+                        "solver decides in process")
     p.add_argument("--timeout", type=positive_seconds, default=60.0,
                    help="per-query timeout in seconds")
     p.add_argument("--exhaustive", action="store_true",

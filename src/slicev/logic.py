@@ -368,7 +368,9 @@ def translate_paths(e: Expr) -> Iterator[tuple[Translated, dict]]:
     decisions `{if id: then taken}`: one run of `interp.Walk` in the term
     domain (`_Translator`), which forks at each `if`, so paths that share
     decisions share the walk up to them.  Each path's translation equals
-    `translate(paths.select_path(e, decisions))`.
+    `translate` of the if-free path its decisions select: `e` with each
+    `if` replaced by an `assert` of its guard (negated where the else
+    branch was taken) over the branch taken.
 
     Split bindings substitute projections of the scrutinee's term for the
     bound variables, like the logical substitution in the definition; the

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import OP_NOT, AssertE, Expr, If, Op, SliceError, children, rebuild
+from .core import OP_NOT, AssertE, Expr, If, Op, children, rebuild
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,9 @@ def count_paths(e: Expr) -> int:
     return total
 
 
-def select_path(e: Expr, decisions: dict) -> Expr:
-    """The unique path consistent with a map from if ids to guard values."""
-    if isinstance(e, If):
-        if e.if_id not in decisions:
-            raise SliceError(f"no decision recorded for if #{e.if_id}")
-        guard = select_path(e.guard, decisions)
-        if decisions[e.if_id]:
-            return AssertE(guard, select_path(e.then, decisions))
-        return AssertE(Op(OP_NOT, (guard,)),
-                       select_path(e.els, decisions))
-    kids = [select_path(c, decisions) for c in children(e)]
-    return rebuild(e, kids)
-
-
 def path_index(e: Expr, decisions: dict) -> int:
-    """Index the selected path would get in `enumerate_paths` order."""
+    """Index of the path the decisions `{if id: then taken}` select, in
+    `enumerate_paths` order."""
     return _locate(e, decisions)[0]
 
 

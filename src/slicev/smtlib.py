@@ -3,9 +3,9 @@
 `slicev-smt` reads commands from stdin and answers `check-sat` and
 `get-model` like any external solver would, so it can stand in for z3/cvc5
 run with `-in`.  It is the front end for text from outside the verifier.
-When the verifier's solver command is the bundled one, it runs the same
-search (`check_assertions`) in its own process on formulas it lowers
-itself (`solver.lower_formula`), with no text in between.  Only the QF_LRA
+By default the verifier runs the same search (`check_assertions`) in its
+own process on formulas it lowers itself (`solver.lower_formula`), with no
+text in between.  Only the QF_LRA
 fragment the pipeline emits is supported; anything else is reported as an
 error line.
 """

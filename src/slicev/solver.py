@@ -8,12 +8,12 @@ with pinned mark answers, and replayed through the whole program as `slicev
 replay` does; it is only reported once the replay takes the model's path
 and reproduces an exact envy violation.
 
-When the solver command is exactly the bundled one, `BUNDLED_SOLVER`, the
-search of `slicev.smtlib` decides each condition in this process
-(`BundledSolver`) from the atoms `lower_formula` makes of it; any other
-command (z3, cvc5, or the bundled solver named any other way) runs as a
+With no solver command, or with exactly `BUNDLED_SOLVER`, the search of
+`slicev.smtlib` decides each condition in this process (`BundledSolver`)
+from the atoms `lower_formula` makes of it.  Any other command runs as a
 child process over pipes (`SolverProcess`) and reads the SMT-LIB2 text
-`emit_smt` prints for every query.  `check_query` asks either.
+`emit_smt` prints for every query.  Both answer `check(query, vc,
+n_agents)`, which `check_query` calls.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import select
-import shutil
 import subprocess
 import sys
 import time
@@ -187,17 +186,6 @@ def write_query(directory: str, index: int, s: Replacement,
 BUNDLED_SOLVER = [sys.executable, "-m", "slicev.smtlib"]
 
 
-def default_solver_command() -> list[str]:
-    env = os.environ.get("SLICEV_SOLVER")
-    if env:
-        return env.split()
-    if shutil.which("z3"):
-        return ["z3", "-in"]
-    if shutil.which("cvc5"):
-        return ["cvc5", "--incremental", "--produce-models", "--lang", "smt2"]
-    return list(BUNDLED_SOLVER)
-
-
 class BundledSolver:
     """The bundled solver inside this process: it decides each condition
     with the search `slicev-smt` runs, from its lowered formulas, so a
@@ -219,6 +207,8 @@ class BundledSolver:
     A search that raises is dropped, and the next query of its order starts
     afresh.  Nothing of this outlives the solver, which is one run's.
     `pivots` counts the pivots of every search."""
+
+    name = "in-process"
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
@@ -258,7 +248,9 @@ class BundledSolver:
         return names, [self._lower(vc.antecedent, known),
                        self._lower(vc.negated_goal, known)]
 
-    def check(self, vc: VC, n_agents: int) -> tuple[str, Optional[dict]]:
+    def check(self, query: Optional[str], vc: VC, n_agents: int
+              ) -> tuple[str, Optional[dict]]:
+        """Decide `vc`; its text `query` is not read."""
         from . import smtlib   # kept out of `import slicev`
         items = (vc.antecedent.items if isinstance(vc.antecedent, AndF)
                  else (vc.antecedent,))
@@ -304,6 +296,7 @@ class SolverProcess:
 
     def __init__(self, command: list[str], timeout: float = 60.0):
         self.command = command
+        self.name = " ".join(command)
         self.timeout = timeout
         self.proc = None
         self._buffer = ""
@@ -389,7 +382,9 @@ class SolverProcess:
                         return out
             self._read_chunk()
 
-    def check(self, query: str) -> tuple[str, Optional[dict]]:
+    def check(self, query: str, vc: Optional[VC] = None,
+              n_agents: int = 0) -> tuple[str, Optional[dict]]:
+        """Decide the query text `query`; `vc` is not read."""
         line = ""
         try:
             self.send("(push 1)\n" + query)
@@ -447,9 +442,7 @@ def check_query(proc: Solver, query: str, vc: VC, n_agents: int
     model).  A solver process that exits, closes its pipes or prints
     anything else in place of an answer, or an exception inside the bundled
     solver, raises `SolverDied`; the next query starts afresh."""
-    if isinstance(proc, BundledSolver):
-        return proc.check(vc, n_agents)
-    return proc.check(query)
+    return proc.check(query, vc, n_agents)
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +531,13 @@ class VerifyConfig:
     exhaustive: bool = False
     prune: bool = True
 
-    def command(self) -> list[str]:
-        return self.solver if self.solver else default_solver_command()
-
 
 def start_solver(config: VerifyConfig) -> Solver:
-    """The bundled solver command runs in this process, any other command
-    as a child process."""
-    command = config.command()
-    if command == BUNDLED_SOLVER:
+    """No command, or `BUNDLED_SOLVER` verbatim, runs the bundled solver in
+    this process; any other command runs as a child process."""
+    if not config.solver or config.solver == BUNDLED_SOLVER:
         return BundledSolver(config.timeout)
-    return SolverProcess(command, config.timeout)
+    return SolverProcess(config.solver, config.timeout)
 
 
 @dataclass
@@ -669,8 +658,7 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
             + "; ".join(v.message for v in violations))
     result, table = VerifyResult(), VCTable()
     stats, proc = result.stats, start_solver(config)
-    stats.solver = (" ".join(proc.command) if isinstance(proc, SolverProcess)
-                    else "in-process")
+    stats.solver = proc.name
     leaves = enumerate(translate_paths(program.body))
     try:
         while True:

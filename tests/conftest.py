@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from slicev.syntax import Program, parse
-from slicev.valuation import PUValuation, Valuation, ValuationSet
+from slicev.valuation import Valuation, ValuationSet
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -48,18 +48,6 @@ def programs() -> dict:
 @pytest.fixture(scope="session")
 def bad_programs() -> dict:
     return {name: load(path) for name, path in BAD_PROTOCOLS.items()}
-
-
-def random_pu_set(rng: random.Random, n_agents: int, grid: int = 60,
-                  max_intervals: int = 3) -> ValuationSet:
-    vals = []
-    for _ in range(n_agents):
-        k = rng.randint(1, max_intervals)
-        cuts = sorted(rng.sample(range(1, grid), 2 * k))
-        vals.append(PUValuation([(Fraction(cuts[2 * i], grid),
-                                  Fraction(cuts[2 * i + 1], grid))
-                                 for i in range(k)]))
-    return ValuationSet(vals)
 
 
 def random_piecewise_linear(rng: random.Random, max_segments: int = 4) -> Valuation:

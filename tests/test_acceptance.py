@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from slicev.cli import random_pu_set
 from slicev.core import PIECE, TProduct, is_disjoint, unread
 from slicev.interp import check_envy_free, evaluate
 from slicev.logic import (
@@ -19,7 +20,7 @@ from slicev.logic import (
     apply_replacement, build_vc, eval_formula, eval_term,
     simplify, translate,
 )
-from slicev.paths import count_paths, enumerate_paths, select_path
+from slicev.paths import count_paths, enumerate_paths
 from slicev.solver import (
     SolverError, VerifyConfig, lower_formula, path_replacements,
     verify_program,
@@ -32,8 +33,8 @@ from slicev.valuation import (
 
 from conftest import (
     GOOD_PROTOCOLS, ILL_TYPED_SURPLUS, load, load_source, random_pl_set,
-    random_pu_set,
 )
+from reference_paths import select_path
 
 F = Fraction
 BUNDLED = [sys.executable, "-m", "slicev.smtlib"]
@@ -177,7 +178,7 @@ def test_criterion_7_replication(programs):
     # 100 corpus runs re-evaluated under the agreeing set with replay
     for round_ in range(20):
         for name, program in programs.items():
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             run = evaluate(program.body, vs)
             pts = sorted(run.trace.points | {F(0), F(1)})
             pu = construct_agreeing_pu(vs, pts)
@@ -207,7 +208,7 @@ def test_criterion_8_constraint_soundness(programs):
     ok = True
     for name, program in programs.items():
         for _ in range(100):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             run = evaluate(program.body, vs)
             path_expr = select_path(program.body, dict(run.trace.branches))
             tr = translate(path_expr)
@@ -231,7 +232,7 @@ def test_criterion_9_disjointness_fuzz(programs):
     runs = 0
     while runs < 1000:
         for name, program in programs.items():
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             result = evaluate(program.body, vs)
             ok &= is_disjoint(result.value)
             runs += 1

@@ -136,6 +136,42 @@ def test_verify_names_the_solver_that_answered(capsys):
     assert out.rstrip().endswith(f"s, solver {command})")
 
 
+def test_verify_decides_in_process_whatever_the_environment(
+        capsys, tmp_path, monkeypatch):
+    # failing z3 and cvc5 first on PATH, and a failing SLICEV_SOLVER: no
+    # solver is taken from the environment
+    for name in ("z3", "cvc5", "broken-solver"):
+        script = tmp_path / name
+        script.write_text("#!/bin/sh\nexit 3\n")
+        script.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setenv("SLICEV_SOLVER", str(tmp_path / "broken-solver"))
+    code, out = run(capsys, "verify", "--json", CC)
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "valid"
+    assert report["solver"] == "in-process" and report["pivots"] > 0
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_a_failed_save_keeps_the_report(capsys, tmp_path, as_json):
+    # the report is printed before the counterexample file is written, so
+    # a file that cannot be written is one error line and loses nothing
+    target = str(tmp_path / "missing" / "ce.json")
+    code = main(["verify", BAD_CC, "--save-counterexample", target,
+                 *(["--json"] if as_json else [])])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and target in captured.err
+    if as_json:
+        report = json.loads(captured.out)
+        assert report["verdict"] == "invalid"
+        assert report["counterexample"]["witness"]["envious"] == 2
+    else:
+        assert f"{BAD_CC}: invalid" in captured.out
+        assert "counterexample on path" in captured.out
+
+
 def test_verify_invalid_with_saved_counterexample(capsys, tmp_path):
     ce_file = tmp_path / "ce.json"
     code, out = run(capsys, "verify", BAD_CC, "--json", "--solver", BUNDLED,

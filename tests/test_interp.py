@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from slicev.cli import random_pu_set
 from slicev.core import (
     BoolVal, IntervalVal, PieceVal, PointVal, TupleVal, is_disjoint,
 )
@@ -10,13 +11,12 @@ from slicev.interp import (
     DIVIDE_OUT_OF_RANGE, MARK_INFEASIBLE, MARK_REPLAY_MISMATCH, Stuck,
     check_envy_free, evaluate, vltn_value,
 )
-from slicev.paths import select_path
 from slicev.syntax import parse_expr
 from slicev.valuation import (
     PUValuation, Valuation, ValuationSet, construct_agreeing_pu, maxdens_set,
 )
 
-from conftest import random_pu_set
+from reference_paths import select_path
 
 F = Fraction
 
@@ -90,7 +90,7 @@ def test_cut_choose_fuzz_envy_free(programs):
     rng = random.Random(43)
     body = programs["cut_choose"].body
     for _ in range(200):
-        vs = random_pu_set(rng, 2)
+        vs = random_pu_set(2, rng)
         result = evaluate(body, vs)
         ok, witness = check_envy_free(result.value, vs)
         assert ok, witness
@@ -100,7 +100,7 @@ def test_cut_choose_fuzz_envy_free(programs):
 
 def test_trace_points_cover_intermediate_coordinates(programs):
     rng = random.Random(47)
-    vs = random_pu_set(rng, 3)
+    vs = random_pu_set(3, rng)
     result = evaluate(programs["waste_makes_haste3"].body, vs)
     pts = result.trace.points
     assert {F(0), F(1)} <= pts
@@ -116,7 +116,7 @@ def test_branch_decisions_select_the_taken_path(programs):
     for name in ("cut_choose", "surplus", "waste_makes_haste3"):
         body = programs[name].body
         for _ in range(10):
-            vs = random_pu_set(rng, programs[name].agents)
+            vs = random_pu_set(programs[name].agents, rng)
             result = evaluate(body, vs)
             decisions = dict(result.trace.branches)
             path = select_path(body, decisions)
@@ -149,7 +149,7 @@ def test_replication_bit_exact(programs):
     rng = random.Random(59)
     for name, program in programs.items():
         for _ in range(5):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             run = evaluate(program.body, vs)
             pts = set(run.trace.points) | {F(0), F(1)}
             pu = construct_agreeing_pu(vs, pts, maxdens_set(vs, sorted(pts)))
@@ -161,6 +161,6 @@ def test_runtime_disjointness_fuzz(programs):
     rng = random.Random(61)
     for name, program in programs.items():
         for _ in range(40):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             result = evaluate(program.body, vs)
             assert is_disjoint(result.value), name

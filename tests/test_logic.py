@@ -19,12 +19,13 @@ from slicev.logic import (
     replacement_from_permutation, right, simplify, subterms,
     translate,
 )
-from slicev.paths import enumerate_paths, select_path
+from slicev.paths import enumerate_paths
 from slicev.solver import lower_formula, path_replacements
 from slicev.syntax import parse_expr
 from slicev.valuation import PUValuation, ValuationSet, construct_agreeing_pu
 
 from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, random_pl_set
+from reference_paths import select_path
 
 F = Fraction
 

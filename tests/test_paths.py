@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from slicev.cli import random_pu_set
 from slicev.core import AssertE, If, Lit, PointVal, walk
 from slicev.interp import Stuck, evaluate
-from slicev.paths import count_paths, enumerate_paths, path_index, select_path
+from slicev.paths import count_paths, enumerate_paths, path_index
 from slicev.syntax import parse_expr
 from slicev.typecheck import typecheck
 
-from conftest import random_pu_set
+from reference_paths import select_path
 
 F = Fraction
 
@@ -79,7 +80,7 @@ def test_exactly_one_path_evaluates(programs):
     for name in ("cut_choose", "surplus", "waste_makes_haste3"):
         program = programs[name]
         for _ in range(8):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             run = evaluate(program.body, vs)
             succeeded = []
             for path in enumerate_paths(program.body):
@@ -100,7 +101,7 @@ def test_select_path_matches_enumeration_order(programs):
         program = programs[name]
         all_paths = {p.index: p.expr for p in enumerate_paths(program.body)}
         for _ in range(10):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             run = evaluate(program.body, vs)
             decisions = dict(run.trace.branches)
             chosen = select_path(program.body, decisions)

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from slicev.cli import random_pu_set
 from slicev.interp import check_envy_free, evaluate
 from slicev.logic import (
     ONE_KEY, ZERO_KEY, VCTable, YVar, ZVar, build_vc, translate_paths,
@@ -26,7 +27,7 @@ from slicev.logic import (
 from slicev.solver import lower_formula, path_replacements, smt_name
 from slicev.valuation import construct_agreeing_pu
 
-from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, random_pu_set
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load
 
 DRAWS = 50     # seeded runs per protocol
 SEED = 17
@@ -70,7 +71,7 @@ def test_each_run_satisfies_its_own_condition(protocol):
     rng = random.Random(SEED)
     runs = []
     for _ in range(DRAWS):
-        vs = random_pu_set(rng, program.agents)
+        vs = random_pu_set(program.agents, rng)
         runs.append((vs, evaluate(program.body, vs)))
     needed = {frozenset(dict(run.trace.branches).items()) for _vs, run in runs}
     translations = {}

@@ -17,7 +17,7 @@ from slicev.paths import enumerate_paths, path_index
 from slicev import lra, smtlib, solver
 from slicev.solver import (
     BundledSolver, Counterexample, SolverDied, SolverError, SolverProcess,
-    VerifyConfig, _confirm, check_query, default_solver_command, emit_smt,
+    VerifyConfig, _confirm, check_query, emit_smt,
     lower_formula, parse_model, path_replacements, smt_name, start_solver,
     verify_program,
 )
@@ -118,7 +118,7 @@ def test_true_implication_is_valid():
         proc.close()
     # the IR has no implication; (true => true) is (or (not true) true)
     vc = hand_built_vc(TrueF(), NotF(OrF((NotF(TrueF()), TrueF()))))
-    assert BundledSolver().check(vc, 1) == ("unsat", None)
+    assert BundledSolver().check(None, vc, 1) == ("unsat", None)
 
 
 def test_timeout_maps_to_unknown():
@@ -219,31 +219,34 @@ def test_a_search_cut_short_is_dropped(bad_programs, monkeypatch):
 def test_bundled_solver_answers_check_sat():
     proc = BundledSolver()
     answer, model = proc.check(
-        hand_built_vc(NotF(GeF(Const(F(1)), YVar(0)))), 1)
+        None, hand_built_vc(NotF(GeF(Const(F(1)), YVar(0)))), 1)
     assert answer == "sat" and model["y0"] > 1
     piece = IntervalT(Const(F(0)), YVar(0))
     with pytest.raises(SolverDied, match="is not linear"):
-        proc.check(hand_built_vc(GeF(ValT(1, piece), YVar(0))), 1)
+        proc.check(None, hand_built_vc(GeF(ValT(1, piece), YVar(0))), 1)
 
 
 def test_only_cores_of_antecedent_conjuncts_answer_later_queries():
     proc = BundledSolver()
+
+    def check(*conjuncts, negated_goal=TrueF()):
+        return proc.check(None, hand_built_vc(AndF(conjuncts), negated_goal),
+                          1)
+
     low, high = GeF(YVar(0), Const(F(1))), GeF(Const(F(1, 2)), YVar(0))
     other = GeF(ZVar(1, ONE_KEY), Const(F(0)))
     # y0 >= 1 clashes with the negated goal y0 < 1/2: that core names the
     # goal, so it answers nothing later
     below_half = NotF(GeF(YVar(0), Const(F(1, 2))))
-    assert proc.check(hand_built_vc(AndF((low, other)), below_half), 1)[0] \
-        == "unsat"
-    assert proc.check(hand_built_vc(AndF((low, other))), 1)[0] == "sat"
+    assert check(low, other, negated_goal=below_half)[0] == "unsat"
+    assert check(low, other)[0] == "sat"
     # y0 >= 1 and y0 <= 1/2 clash on their own: a later antecedent with
     # both is unsat, one with only one of them is not
-    assert proc.check(hand_built_vc(AndF((low, high))), 1)[0] == "unsat"
+    assert check(low, high)[0] == "unsat"
     assert proc.queries_from_cores == 0
-    assert proc.check(hand_built_vc(AndF((other, high, low))), 1) \
-        == ("unsat", None)
+    assert check(other, high, low) == ("unsat", None)
     assert proc.queries_from_cores == 1
-    assert proc.check(hand_built_vc(AndF((other, high))), 1)[0] == "sat"
+    assert check(other, high)[0] == "sat"
     assert proc.queries_from_cores == 1
 
 
@@ -575,7 +578,7 @@ def test_a_model_whose_replay_leaves_its_path_is_unknown(bad_programs):
     index, (tr, decisions) = 0, next(translate_paths(program.body))
     s = path_replacements(tr, True)[0][0]
     verdict, model = BundledSolver().check(
-        build_vc(tr, s, program.agents), program.agents)
+        None, build_vc(tr, s, program.agents), program.agents)
     assert verdict == "sat" and decisions
     ce = _confirm(model, s, tr, index, decisions, program)
     assert ce.path_index == index and ce.witness is not None
@@ -585,10 +588,3 @@ def test_a_model_whose_replay_leaves_its_path_is_unknown(bad_programs):
     assert unknown.reason == (f"counterexample replay left path {index} "
                               f"(order {s.describe()})")
 
-
-def test_default_solver_command_prefers_external(monkeypatch):
-    monkeypatch.setenv("SLICEV_SOLVER", "my-solver --flag")
-    assert default_solver_command() == ["my-solver", "--flag"]
-    monkeypatch.delenv("SLICEV_SOLVER")
-    cmd = default_solver_command()
-    assert cmd[:1] in (["z3"], ["cvc5"]) or cmd[-2:] == ["-m", "slicev.smtlib"]

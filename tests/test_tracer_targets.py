@@ -10,6 +10,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from slicev import lra, smtlib, solver
 from slicev.solver import VerifyConfig, verify_program
 
@@ -98,7 +100,9 @@ def test_verify_calls_each_layer_once_per_query(monkeypatch):
     assert calls == dict.fromkeys(calls, res.stats.queries)
 
 
-def test_a_traced_round_reports_every_per_layer_metric():
+@pytest.mark.parametrize("workload",
+                         ["scs_valid", "orders_all", "counterexamples"])
+def test_a_traced_round_reports_every_per_layer_metric(workload):
     # A traced round whose tracer misses a function still exits 0, with
     # that layer's metrics left out, so the benchmark would lose them
     # quietly.  `perfbench/run.py` adds the three metrics below to those
@@ -106,7 +110,7 @@ def test_a_traced_round_reports_every_per_layer_metric():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run(
         [sys.executable, str(REPO / "perfbench" / "verify_round.py"),
-         "--workload", "counterexamples", "--spawned", "0", "--jobs", "1",
+         "--workload", workload, "--spawned", "0", "--jobs", "1",
          "--trace"], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from slicev.cli import random_pu_set
 from slicev.core import PIECE, TProduct, is_disjoint, value_type
 from slicev.interp import evaluate
 from slicev.syntax import parse, parse_expr
@@ -11,7 +12,7 @@ from slicev.typecheck import (
     typecheck,
 )
 
-from conftest import ILL_TYPED_SURPLUS, load, random_pu_set
+from conftest import ILL_TYPED_SURPLUS, load
 
 
 def test_cut_choose_type(programs):
@@ -144,7 +145,7 @@ def test_type_soundness_on_corpus(programs):
     for name, program in programs.items():
         static = typecheck(program.body)
         for _ in range(25):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             result = evaluate(program.body, vs)
             assert value_type(result.value) == static, name
 
@@ -153,7 +154,7 @@ def test_runtime_disjointness_on_corpus(programs):
     rng = random.Random(13)
     for name, program in programs.items():
         for _ in range(25):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             result = evaluate(program.body, vs)
             assert is_disjoint(result.value), name
 

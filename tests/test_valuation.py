@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from slicev.cli import random_pu_set
 from slicev.core import IntervalVal, PieceVal
 from slicev.valuation import (
     DensityTooLow, PUValuation, Segment, TargetExceedsValue, Valuation,
@@ -12,7 +13,7 @@ from slicev.valuation import (
     valuation_set_to_json,
 )
 
-from conftest import random_pl_set, random_piecewise_linear, random_pu_set
+from conftest import random_pl_set, random_piecewise_linear
 
 F = Fraction
 M2 = [F(0), F(1, 2), F(1)]
@@ -87,7 +88,7 @@ def test_pu_mark_skips_gaps():
 def test_mark_eval_inverse_property():
     rng = random.Random(7)
     for _ in range(40):
-        v = random_pu_set(rng, 1).agent(1)
+        v = random_pu_set(1, rng).agent(1)
         hi = F(rng.randint(1, 60), 60)
         total = v.eval_interval(F(0), hi)
         target = total * F(rng.randint(0, 4), 4)
@@ -204,7 +205,7 @@ def test_normalization_additivity_monotonicity():
     rng = random.Random(31)
     for _ in range(30):
         v = (random_piecewise_linear(rng) if rng.random() < 0.5
-             else random_pu_set(rng, 1).agent(1))
+             else random_pu_set(1, rng).agent(1))
         assert v.eval_interval(F(0), F(1)) == 1
         a, b, c = sorted(F(rng.randint(0, 24), 24) for _ in range(3))
         left = v.eval_interval(a, b)
@@ -229,7 +230,7 @@ def test_construction_satisfies_agreement_and_replaceability():
 def test_json_roundtrip():
     rng = random.Random(41)
     vs = ValuationSet([random_piecewise_linear(rng),
-                       random_pu_set(rng, 1).agent(1)])
+                       random_pu_set(1, rng).agent(1)])
     text = json.dumps(valuation_set_to_json(vs), indent=2)
     back = valuation_set_from_json(json.loads(text))
     assert back.n_agents == 2

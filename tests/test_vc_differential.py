@@ -118,7 +118,7 @@ def test_answers_from_cores_hold_under_the_full_search(protocols, prune):
         for tr, s in kept_queries(name, program, prune):
             vc = build_vc(tr, s, n, table)
             cached = bundled.queries_from_cores
-            verdict, model = bundled.check(vc, n)
+            verdict, model = bundled.check(None, vc, n)
             names, assertions = bundled.lower(vc, n)
             assert verdict == check_assertions(names, assertions)[0], (
                 name, s.order)

@@ -12,19 +12,21 @@ from fractions import Fraction
 import pytest
 
 import reference_walks
+from slicev.cli import random_pu_set
 from slicev.core import CAKE, AssertE, BoolVal, Lit, SliceError
 from slicev.interp import (
     ASSERT_FAILED, DIVIDE_OUT_OF_RANGE, MARK_INFEASIBLE, MARK_REPLAY_MISMATCH,
     check_envy_free, evaluate,
 )
 from slicev.logic import translate, translate_paths
-from slicev.paths import enumerate_paths, path_index, select_path
+from slicev.paths import enumerate_paths, path_index
 from slicev.solver import BUNDLED_SOLVER, VerifyConfig, verify_program
 from slicev.syntax import parse, parse_expr
 from slicev.typecheck import check_wellformed
 from slicev.valuation import Valuation, ValuationSet
 
-from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load, random_pu_set
+from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, load
+from reference_paths import select_path
 
 # the twelve well-formed corpus protocols
 PROTOCOLS = {**GOOD_PROTOCOLS, **BAD_PROTOCOLS}
@@ -79,7 +81,7 @@ def test_evaluate_matches_on_seeded_draws(protocols):
         paths = [p.expr for p in enumerate_paths(program.body)]
         paths = paths if len(paths) <= ALL_PATHS_UP_TO else []
         for _ in range(DRAWS):
-            vs = random_pu_set(rng, program.agents)
+            vs = random_pu_set(program.agents, rng)
             run = same_outcome(program.body, vs)
             if "error" in run:
                 stuck.add(run["reason"])
@@ -162,7 +164,7 @@ def test_walks_match_on_boolean_guards(name):
         assert repr(translate(path)) == repr(reference_walks.translate(path))
     rng = random.Random(1401)
     for _ in range(DRAWS):
-        vs = random_pu_set(rng, program.agents)
+        vs = random_pu_set(program.agents, rng)
         run = same_outcome(program.body, vs)
         if "error" not in run:
             for path in paths:
