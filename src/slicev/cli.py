@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import SliceError
-from .interp import EnvyWitness, check_envy_free, evaluate
+from .interp import check_envy_free, evaluate
 from .logic import VCTable, translate_paths
-from .paths import count_paths, enumerate_paths, path_index
+from .paths import count_paths, enumerate_paths
 from .solver import (
     Counterexample, SolverError, VerifyConfig, build_vc, emit_smt,
     path_replacements, verify_program, write_query,
@@ -102,11 +102,7 @@ def cmd_typecheck(args) -> int:
 def cmd_paths(args) -> int:
     program = load_program(args.file)
     n = count_paths(program.body)
-    if args.json:
-        payload = {"file": args.file, "paths": n}
-        print(json.dumps(payload))
-    else:
-        print(n)
+    print(json.dumps({"file": args.file, "paths": n}) if args.json else n)
     if args.list:
         for path in enumerate_paths(program.body):
             print(f"# path {path.index}")
@@ -131,6 +127,14 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def save_counterexample(path: Optional[str], ce) -> None:
+    """Write `ce` to `path`, if given: JSON `null` when there is none, so no
+    counterexample of an older run stays behind."""
+    if path:
+        with open(path, "w") as fh:
+            json.dump(ce and ce.to_json(), fh, indent=2)
+
+
 def cmd_verify(args) -> int:
     program = load_program(args.file)
     violations = check_wellformed(program)
@@ -142,6 +146,7 @@ def cmd_verify(args) -> int:
         else:
             for v in violations:
                 print(f"{args.file}: {v.code}: {v.message}")
+        save_counterexample(args.save_counterexample, None)
         return EXIT_VIOLATION
     config = VerifyConfig(
         solver=args.solver.split() if args.solver else None,
@@ -188,10 +193,8 @@ def cmd_verify(args) -> int:
             print(f"    marks: {marks}")
         for u in result.unknowns:
             print(f"  unknown on path {u.path_index}: {u.reason}")
-    if ce is not None and args.save_counterexample:
-        # after the report, so a file that cannot be written loses nothing
-        with open(args.save_counterexample, "w") as fh:
-            json.dump(report["counterexample"], fh, indent=2)
+    # after the report, so a file that cannot be written loses nothing
+    save_counterexample(args.save_counterexample, ce)
     if result.verdict == "invalid":
         return EXIT_VIOLATION
     if result.verdict == "unknown":
@@ -213,10 +216,9 @@ def cmd_simulate(args) -> int:
         vs = random_pu_set(program.agents, random.Random(args.seed))
     run = evaluate(program.body, vs)
     ok, witness = check_envy_free(run.value, vs)
-    values = {}
     alloc = run.value
-    for a in range(1, program.agents + 1):
-        values[a] = [val_eval(vs.agent(a), piece) for piece in alloc.items]
+    values = {a: [val_eval(vs.agent(a), piece) for piece in alloc.items]
+              for a in range(1, program.agents + 1)}
     if args.json:
         print(json.dumps({
             "file": args.file,
@@ -237,54 +239,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def saved_counterexample(data: dict
-                         ) -> tuple[Counterexample, Optional[EnvyWitness]]:
-    """A counterexample's JSON and the witness it holds, if any."""
-    w = data.get("witness")
-    return Counterexample.from_json(data), None if w is None else EnvyWitness(
-        w["envious"], w["envied"], Fraction(w["own_value"]),
-        Fraction(w["other_value"]))
-
-
 def cmd_replay(args) -> int:
-    """Replay a saved counterexample; the run must take its `path_index`
-    and, when the file holds a witness, reproduce that witness."""
-    program = load_program(args.file)
-    ce, saved = load_json(args.counterexample, saved_counterexample)
+    """Replay a saved counterexample; `Counterexample.confirm` judges it."""
+    program = wellformed_program(args.file)
+    if program is None:
+        return EXIT_VIOLATION
+    ce = load_json(args.counterexample, Counterexample.from_json)
     if ce.valuations.n_agents != program.agents:
         print("counterexample has the wrong number of agents",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        branches = ce.replay(program)
-    except SliceError as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    alloc, witness = ce.allocation, ce.witness
-    index = path_index(program.body, dict(branches))
-    if index != ce.path_index:
-        print(f"replay took path {index}, not the saved path "
-              f"{ce.path_index}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    if witness is not None and saved is not None and witness != saved:
-        print(f"replay found that {witness}, but the file saves that "
-              f"{saved}", file=sys.stderr)
+    reason = ce.confirm(program)
+    if reason is not None:
+        print(reason, file=sys.stderr)
         return EXIT_UNKNOWN
     if args.json:
         print(json.dumps({
             "file": args.file,
-            "allocation": [str(p) for p in alloc.items],
-            "envy_confirmed": witness is not None,
-            "witness": witness and witness.to_json(),
+            "allocation": [str(p) for p in ce.allocation.items],
+            "envy_confirmed": True,
+            "witness": ce.witness.to_json(),
         }, indent=2))
     else:
-        print(f"allocation: {alloc}")
-        if witness is not None:
-            print(f"envy confirmed: {witness}")
-        else:
-            print("replay did NOT reproduce an envy violation")
-    if witness is None:
-        return EXIT_UNKNOWN
+        print(f"allocation: {ce.allocation}\nenvy confirmed: {ce.witness}")
     return EXIT_VIOLATION
 
 
@@ -353,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the random valuation set")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("replay", help="re-execute a saved counterexample")
+    checks = ("re-execute a saved counterexample: exit 1 when the run takes "
+              "its path_index and ends in envy (its witness, if saved), "
+              "else exit 2 with the reason on stderr")
+    p = sub.add_parser("replay", help=checks, description=checks)
     common(p)
     p.add_argument("counterexample", help="counterexample JSON file")
     p.set_defaults(fn=cmd_replay)

@@ -289,6 +289,11 @@ class EnvyWitness:
                 "own_value": str(self.own_value),
                 "other_value": str(self.other_value)}
 
+    @staticmethod
+    def from_json(data: dict) -> "EnvyWitness":
+        return EnvyWitness(data["envious"], data["envied"], *(
+            Fraction(data[k]) for k in ("own_value", "other_value")))
+
 
 def check_envy_free(alloc: Value, vs: ValuationSet
                     ) -> tuple[bool, Optional[EnvyWitness]]:

@@ -4,9 +4,10 @@ Every (path, replacement) pair becomes one negation query: the constraint
 and side formula are asserted together with the negated envy goal, so
 `unsat` means the condition is valid.  A `sat` answer yields a model that is
 turned into a `Counterexample`, a concrete piecewise-uniform valuation set
-with pinned mark answers, and replayed through the whole program as `slicev
-replay` does; it is only reported once the replay takes the model's path
-and reproduces an exact envy violation.
+with pinned mark answers.  It is reported only once
+`Counterexample.confirm`, the rule `slicev replay` applies to a saved one,
+accepts it: its replay through the whole program takes the model's path and
+ends in an exact envy violation.
 
 With no solver command, or with exactly `BUNDLED_SOLVER`, the search of
 `slicev.smtlib` decides each condition in this process (`BundledSolver`)
@@ -36,6 +37,7 @@ from .logic import (
     ONE_KEY, ZERO_KEY, build_vc, compatible_replacements, ordering_facts,
     replacement_variables, subterms, translate_paths,
 )
+from .paths import path_index
 from .syntax import Program
 from .typecheck import check_wellformed
 from .valuation import (
@@ -453,7 +455,7 @@ def check_query(proc: Solver, query: str, vc: VC, n_agents: int
 class Counterexample:
     """Piecewise-uniform valuations and pinned mark answers under which the
     program envies on path `path_index`.  `replay` sets `allocation` and
-    `witness` (None when the allocation is envy-free)."""
+    `witness`, its envy or None; `from_json` reads a saved `witness`."""
 
     valuations: ValuationSet
     mark_table: dict[int, Fraction]
@@ -493,12 +495,30 @@ class Counterexample:
                               index)
 
     def replay(self, program: Program) -> list:
-        """Run the whole program on these valuations with the marks pinned,
-        as `slicev replay` does; returns the branches the run took."""
+        """Run the whole program on these valuations with the marks pinned;
+        returns the branches the run took."""
         run = evaluate(program.body, self.valuations, replay=self.mark_table)
         _ok, self.witness = check_envy_free(run.value, self.valuations)
         self.allocation = run.value
         return run.trace.branches
+
+    def confirm(self, program: Program) -> Optional[str]:
+        """The one rule accepting a counterexample, in `verify` and `slicev
+        replay`: None when the replay takes path `path_index` and ends in
+        envy (the saved `witness`, if any), else the reason why not."""
+        saved = self.witness
+        try:
+            branches = self.replay(program)
+        except SliceError as exc:
+            return f"replay failed: {exc}"
+        index = path_index(program.body, dict(branches))
+        if index != self.path_index:
+            return f"replay took path {index}, not path {self.path_index}"
+        if self.witness is None:
+            return "replay did not reproduce an envy violation"
+        if saved is not None and self.witness != saved:
+            return f"replay found that {self.witness}, not that {saved}"
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -510,12 +530,13 @@ class Counterexample:
 
     @staticmethod
     def from_json(data: dict) -> "Counterexample":
-        """The stored witness is not read: `replay` recomputes it."""
+        w = data.get("witness")
         return Counterexample(
             valuations=valuation_set_from_json(data["valuations"]),
             mark_table={int(k): Fraction(v)
                         for k, v in data["mark_table"].items()},
             path_index=data["path_index"],
+            witness=None if w is None else EnvyWitness.from_json(w),
         )
 
 
@@ -584,9 +605,8 @@ def path_replacements(tr: Translated, prune: bool
     return kept, math.factorial(len(tr.mark_ids)) - len(kept)
 
 
-def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
-                program: Program, config: VerifyConfig, table: VCTable,
-                stats: VerifyStats
+def _check_path(proc: Solver, index: int, tr: Translated, program: Program,
+                config: VerifyConfig, table: VCTable, stats: VerifyStats
                 ) -> Optional[Union[Counterexample, SolverVerdictUnknown]]:
     """Check every kept order of one path, counting into `stats`; None when
     every query is unsat."""
@@ -618,29 +638,24 @@ def _check_path(proc: Solver, index: int, tr: Translated, decisions: dict,
             return None
     finally:
         stats.solve_seconds += time.monotonic() - t1
-    return _confirm(model, s, tr, index, decisions, program)
+    return _confirm(model, s, tr, index, program)
 
 
 def _confirm(model: dict, s: Replacement, tr: Translated, index: int,
-             decisions: dict, program: Program
+             program: Program
              ) -> Union[Counterexample, SolverVerdictUnknown]:
-    """Replay a model through the whole program; mandatory before Invalid.
-    The replay must take the path's own decisions and end in envy."""
-    order = f"(order {s.describe()})"
+    """The counterexample a model of path `index` describes, once
+    `Counterexample.confirm` accepts it; mandatory before Invalid."""
     try:
         ce = Counterexample.from_model(model, s, tr.mark_ids, index,
                                        program.agents)
-        branches = ce.replay(program)
-    except SliceError as exc:
-        return SolverVerdictUnknown(
-            f"counterexample failed to replay: {exc} {order}", index)
-    if dict(branches) != decisions:
-        return SolverVerdictUnknown(
-            f"counterexample replay left path {index} {order}", index)
-    if ce.witness is None:
-        return SolverVerdictUnknown(
-            f"solver model did not reproduce an envy violation {order}", index)
-    return ce
+        reason = ce.confirm(program)
+    except SolverError as exc:      # the model describes no valuation set
+        reason = f"could not be built: {exc}"
+    if reason is None:
+        return ce
+    return SolverVerdictUnknown(
+        f"counterexample {reason} (order {s.describe()})", index)
 
 
 def verify_program(program: Program, config: Optional[VerifyConfig] = None,
@@ -667,9 +682,9 @@ def verify_program(program: Program, config: Optional[VerifyConfig] = None,
             stats.translate_seconds += time.monotonic() - t0
             if leaf is None:
                 break
-            index, (tr, decisions) = leaf
-            outcome = _check_path(proc, index, tr, decisions, program, config,
-                                  table, stats)
+            index, (tr, _decisions) = leaf
+            outcome = _check_path(proc, index, tr, program, config, table,
+                                  stats)
             if isinstance(outcome, Counterexample):
                 result.counterexamples.append(outcome)
             elif outcome is not None:

@@ -11,6 +11,7 @@ import pytest
 import slicev
 from slicev.cli import main
 from slicev.paths import enumerate_paths
+from slicev.solver import Counterexample
 from slicev.syntax import mark_ids
 
 from conftest import BAD_PROTOCOLS, GOOD_PROTOCOLS, ILL_TYPED_SURPLUS, load
@@ -188,24 +189,68 @@ def test_verify_invalid_with_saved_counterexample(capsys, tmp_path):
 
 
 def test_replay_checks_the_saved_path_and_witness(capsys, tmp_path):
-    # an edited path index or witness no longer passes for a confirmation
+    # an edited path index, mark answer or witness no longer passes for a
+    # confirmation: `replay` prints the reason `Counterexample.confirm` gives
     scf_bug = str(BAD_PROTOCOLS["scf_taker_cuts"])
+    program = load(scf_bug)
     ce_file = tmp_path / "ce.json"
     code, _out = run(capsys, "verify", scf_bug, "--solver", BUNDLED,
                      "--save-counterexample", str(ce_file))
     saved = json.loads(ce_file.read_text())
     assert code == 1 and saved["path_index"] == 9
     assert run(capsys, "replay", scf_bug, str(ce_file))[0] == 1
+    assert saved["mark_table"]["0"] == "6/7"
     witness = {**saved["witness"], "own_value": "1/1000"}
-    for edit, message in (
-            ({"path_index": 1234},
-             "replay took path 9, not the saved path 1234\n"),
-            ({"witness": witness}, "but the file saves that agent ")):
-        ce_file.write_text(json.dumps({**saved, **edit}))
+    found = "agent 2 values agent 1's piece at 1 but its own at 0"
+    for edit, reason in (
+            ({"path_index": 1234}, "replay took path 9, not path 1234"),
+            ({"mark_table": {**saved["mark_table"], "0": "1/7"}},
+             "replay failed: stuck: MarkReplayMismatch "
+             "(mark 2: V[1/7,0] != 0)"),
+            ({"witness": witness},
+             f"replay found that {found}, not that agent 2 values agent "
+             f"1's piece at 1 but its own at 1/1000")):
+        edited = {**saved, **edit}
+        assert Counterexample.from_json(edited).confirm(program) == reason
+        ce_file.write_text(json.dumps(edited))
         assert main(["replay", scf_bug, str(ce_file)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert message in captured.err
+        assert captured.out == "" and captured.err == reason + "\n"
+
+
+def test_replay_gates_an_ill_formed_protocol(capsys, tmp_path):
+    # replay once ran a protocol `typecheck` rejects, as no other command does
+    ce_file = tmp_path / "ce.json"
+    assert main(["verify", str(BAD_PROTOCOLS["surplus_unsafe_trim"]),
+                 "--save-counterexample", str(ce_file)]) == 1
+    capsys.readouterr()
+    assert main(["replay", str(ILL_TYPED_SURPLUS), str(ce_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{ILL_TYPED_SURPLUS}: ill-typed: affine variable "
+                            "'p' used more than once (at 'p' and 'p')\n")
+
+
+@pytest.mark.parametrize("protocol, exit_code",
+                         [(CC, 0), (str(ILL_TYPED_SURPLUS), 1)],
+                         ids=["valid", "ill_formed"])
+def test_a_run_without_counterexample_saves_null(capsys, tmp_path, protocol,
+                                                 exit_code):
+    # an older counterexample no longer stays next to a later verdict; a
+    # replay of the `null` it leaves is a usage error
+    ce_file = tmp_path / "ce.json"
+    assert main(["verify", BAD_CC, "--save-counterexample",
+                 str(ce_file)]) == 1
+    assert json.loads(ce_file.read_text()) is not None
+    assert main(["verify", protocol, "--save-counterexample",
+                 str(ce_file)]) == exit_code
+    assert json.loads(ce_file.read_text()) is None
+    capsys.readouterr()
+    assert main(["replay", CC, str(ce_file)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed ")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_seeded_reproducible(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -542,20 +543,20 @@ def test_verify_sends_the_queries_compile_writes(tmp_path, monkeypatch):
 
 
 def test_counterexample_json_roundtrip(bad_programs):
-    # what `verify --save-counterexample` writes, `slicev replay` runs
-    # through the whole program to the same envy, on the same path
-    for name, program in bad_programs.items():
-        res = verify_program(program, VerifyConfig(solver=BUNDLED,
-                                                   exhaustive=True))
+    # what `verify --save-counterexample` writes, `slicev replay` reads back
+    # with its witness and accepts by the rule `verify` applied
+    for (name, program), prune in itertools.product(bad_programs.items(),
+                                                    (True, False)):
+        res = verify_program(program, VerifyConfig(
+            solver=BUNDLED, exhaustive=True, prune=prune))
         assert res.verdict == "invalid" and res.counterexamples, name
         for ce in res.counterexamples:
             stored = Counterexample.from_json(
                 json.loads(json.dumps(ce.to_json())))
-            assert stored.witness is None
-            branches = stored.replay(program)
+            assert ce.witness is not None and stored.witness == ce.witness
+            assert stored.confirm(program) is None, (name, prune)
             assert stored.witness == ce.witness, name
             assert stored.allocation == ce.allocation, name
-            assert path_index(program.body, dict(branches)) == ce.path_index
 
 
 def test_counterexample_json_reads_integers_as_p_over_1():
@@ -572,19 +573,18 @@ def test_counterexample_json_reads_integers_as_p_over_1():
 
 
 def test_a_model_whose_replay_leaves_its_path_is_unknown(bad_programs):
-    # the model is sound for its own path; confirmed against the decisions
-    # of another path, its replay takes a branch those decisions do not
+    # the model is sound for its own path; confirmed as a model of another
+    # path, its replay takes a path that is not that one
     program = bad_programs["cut_choose_cutter_chooses"]
-    index, (tr, decisions) = 0, next(translate_paths(program.body))
+    index, (tr, _decisions) = 0, next(translate_paths(program.body))
     s = path_replacements(tr, True)[0][0]
     verdict, model = BundledSolver().check(
         None, build_vc(tr, s, program.agents), program.agents)
-    assert verdict == "sat" and decisions
-    ce = _confirm(model, s, tr, index, decisions, program)
+    assert verdict == "sat"
+    ce = _confirm(model, s, tr, index, program)
     assert ce.path_index == index and ce.witness is not None
-    planted = {i: not taken for i, taken in decisions.items()}
-    unknown = _confirm(model, s, tr, index, planted, program)
-    assert unknown.path_index == index
-    assert unknown.reason == (f"counterexample replay left path {index} "
-                              f"(order {s.describe()})")
-
+    other = index + 1
+    unknown = _confirm(model, s, tr, other, program)
+    assert unknown.path_index == other
+    assert unknown.reason == (f"counterexample replay took path {index}, "
+                              f"not path {other} (order {s.describe()})")

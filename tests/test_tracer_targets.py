@@ -119,3 +119,10 @@ def test_a_traced_round_reports_every_per_layer_metric(workload):
     reported = {*report["layers"], "solver.paths_checked",
                 "solver.useful_path_ratio", "trace.overhead_s"}
     assert {m["name"] for m in declared} - reported == set()
+    if workload == "counterexamples":
+        # the tracer rebinds every name of a wrapped function, but a
+        # confirm path that goes round them (running `interp._Evaluator`
+        # itself, say) would leave these at 0 while every name resolves
+        for name in ("solver.confirm_s", "interp.replay_s",
+                     "interp.envy_check_s"):
+            assert report["layers"][name] > 0, name
